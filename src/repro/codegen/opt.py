@@ -30,6 +30,7 @@ from repro.codegen.ir import (
     ImpFunction,
     ImpProgram,
     Load,
+    NatE,
     Stmt,
     Store,
     UnOp,
@@ -168,23 +169,6 @@ def fold_program(prog: ImpProgram) -> ImpProgram:
 # ---------------------------------------------------------------------------
 
 
-def _expr_size(e: IExpr) -> int:
-    return 1 + sum(_expr_size(c) for c in e.children())
-
-
-def _loads_of(e: IExpr) -> set[str]:
-    out: set[str] = set()
-
-    def go(x: IExpr) -> None:
-        if isinstance(x, (Load, VLoad)):
-            out.add(x.buffer)
-        for c in x.children():
-            go(c)
-
-    go(e)
-    return out
-
-
 def _is_vector_expr(e: IExpr, vector_vars) -> bool:
     if isinstance(e, (VLoad, Broadcast, VShuffle, VPack)):
         return True
@@ -221,7 +205,11 @@ class _CseState:
         return f"cse{self.counter}"
 
 
-def _cse_segment(stmts: list[Stmt], state: _CseState) -> list[Stmt]:
+_LEAVES = (Var, IConst, FConst, NatE)
+_OPAQUE = (Load, VLoad, VLane)  # index expressions stay as they are (integer context)
+
+
+class _SegmentCse:
     """CSE over a straight-line run of value statements.
 
     Subexpressions repeated across the segment are hoisted into
@@ -232,80 +220,108 @@ def _cse_segment(stmts: list[Stmt], state: _CseState) -> list[Stmt]:
 
     Expressions reading a buffer that the segment also writes are left
     untouched (stores act as barriers for them).
+
+    Structurally equal subexpressions are given the same *value number*,
+    built bottom-up from a node's type, its own fields and its children's
+    numbers, so nothing here hashes or compares a whole tree; the size of
+    a subexpression and whether it reads a stored buffer are derived in
+    the same step.  One segment can be a single statement of 40,000
+    nodes (harris naive).  The tables live and die with the instance.
     """
-    stored: set[str] = set()
-    for s in stmts:
-        if isinstance(s, (Store, VStore)):
-            stored.add(s.buffer)
 
-    counts: dict[IExpr, int] = {}
+    def __init__(self, stmts: list[Stmt], state: _CseState) -> None:
+        self.stmts = stmts
+        self.state = state
+        self.stored = {s.buffer for s in stmts if isinstance(s, (Store, VStore))}
+        self.numbers: dict[tuple, int] = {}  # (type, own fields, child numbers)
+        self.size: list[int] = []  # per value number: nodes in the subexpression
+        self.reads_stored: list[bool] = []  # ... loads from a buffer in ``stored``
+        self.counts: list[int] = []  # ... occurrences outside index expressions
+        # id(node) -> value number of the nodes ``rewrite`` visits; all are
+        # reachable from ``stmts``, so no id is reused while this table lives
+        self.number_of: dict[int, int] = {}
+        self.hoisted: dict[int, str] = {}  # value number -> temporary
+        self.out: list[Stmt] = []
 
-    def count(e: IExpr) -> None:
-        if isinstance(e, (Var, IConst, FConst)):
-            return
-        counts[e] = counts.get(e, 0) + 1
-        if isinstance(e, (Load, VLoad, VLane)):
-            return  # index expressions stay opaque (integer context)
-        for c in e.children():
-            count(c)
+    def number(self, e: IExpr, counted: bool = True) -> int:
+        """Value number of ``e``.  ``counted`` is false inside index
+        expressions, whose nodes are numbered but never hoisted."""
+        inner = counted and not isinstance(e, _OPAQUE)
+        key: list = [type(e)]
+        kids: list[int] = []
+        for name in e.__dataclass_fields__:  # vars(e) would give every node a dict
+            field = getattr(e, name)
+            if isinstance(field, IExpr):
+                field = self.number(field, inner)
+                kids.append(field)
+            elif isinstance(field, tuple):  # VPack lanes
+                field = tuple(self.number(lane, inner) for lane in field)
+                kids.extend(field)
+            key.append(field)
+        n = self.numbers.setdefault(tuple(key), len(self.size))
+        if n == len(self.size):
+            self.size.append(1 + sum(self.size[k] for k in kids))
+            self.reads_stored.append(
+                (isinstance(e, (Load, VLoad)) and e.buffer in self.stored)
+                or any(self.reads_stored[k] for k in kids)
+            )
+            self.counts.append(0)
+        if counted and not isinstance(e, _LEAVES):
+            self.counts[n] += 1
+            self.number_of[id(e)] = n
+        return n
 
-    def exprs_of(s: Stmt):
-        if isinstance(s, (Store, VStore)):
-            yield s.value
-        elif isinstance(s, (Assign,)):
-            yield s.value
-        elif isinstance(s, (DeclScalar, DeclVec)) and s.init is not None:
-            yield s.init
-
-    for s in stmts:
-        for e in exprs_of(s):
-            count(e)
-
-    table: dict[IExpr, str] = {}
-    out: list[Stmt] = []
-
-    def rewrite(e: IExpr) -> IExpr:
-        if isinstance(e, (Var, IConst, FConst)):
+    def rewrite(self, e: IExpr) -> IExpr:
+        if isinstance(e, _LEAVES):
             return e
-        if e in table:
-            return Var(table[e])
+        n = self.number_of[id(e)]
+        if n in self.hoisted:
+            return Var(self.hoisted[n])
+        if isinstance(e, _OPAQUE):
+            rebuilt: IExpr = e
+        else:
+            rebuilt = _rebuild_expr(e, [self.rewrite(c) for c in e.children()])
         worth = (
-            counts.get(e, 0) >= 2
-            and _expr_size(e) >= 2
+            self.counts[n] >= 2
+            and self.size[n] >= 2
             and not isinstance(e, Broadcast)
-            and not (_loads_of(e) & stored)
+            and not self.reads_stored[n]
         )
-        if isinstance(e, (Load, VLoad, VLane)):
-            rebuilt: IExpr = e  # never rewrite inside index expressions
+        if not worth:
+            return rebuilt
+        state = self.state
+        name = state.fresh()
+        if _is_vector_expr(rebuilt, state.vector_vars):
+            width = _vector_width(rebuilt, state.vector_vars)
+            state.vector_vars[name] = width
+            self.out.append(DeclVec(name, width, rebuilt))
         else:
-            rebuilt = _rebuild_expr(e, [rewrite(c) for c in e.children()])
-        if worth:
-            name = state.fresh()
-            if _is_vector_expr(rebuilt, state.vector_vars):
-                width = _vector_width(rebuilt, state.vector_vars)
-                state.vector_vars[name] = width
-                out.append(DeclVec(name, width, rebuilt))
-            else:
-                out.append(DeclScalar(name, rebuilt))
-            table[e] = name
-            return Var(name)
-        return rebuilt
+            self.out.append(DeclScalar(name, rebuilt))
+        self.hoisted[n] = name
+        return Var(name)
 
-    for s in stmts:
-        if isinstance(s, Store):
-            out.append(Store(s.buffer, s.index, rewrite(s.value)))
-        elif isinstance(s, VStore):
-            out.append(VStore(s.buffer, s.index, rewrite(s.value), s.width, s.aligned))
-        elif isinstance(s, Assign):
-            out.append(Assign(s.var, rewrite(s.value)))
-        elif isinstance(s, DeclScalar) and s.init is not None:
-            out.append(DeclScalar(s.var, rewrite(s.init), s.kind))
-        elif isinstance(s, DeclVec) and s.init is not None:
-            state.vector_vars[s.var] = s.width
-            out.append(DeclVec(s.var, s.width, rewrite(s.init)))
-        else:
-            out.append(s)
-    return out
+    def run(self) -> list[Stmt]:
+        for s in self.stmts:
+            value = s.init if isinstance(s, (DeclScalar, DeclVec)) else s.value
+            if value is not None:
+                self.number(value)
+
+        out, rewrite = self.out, self.rewrite
+        for s in self.stmts:
+            if isinstance(s, Store):
+                out.append(Store(s.buffer, s.index, rewrite(s.value)))
+            elif isinstance(s, VStore):
+                out.append(VStore(s.buffer, s.index, rewrite(s.value), s.width, s.aligned))
+            elif isinstance(s, Assign):
+                out.append(Assign(s.var, rewrite(s.value)))
+            elif isinstance(s, DeclScalar) and s.init is not None:
+                out.append(DeclScalar(s.var, rewrite(s.init), s.kind))
+            elif isinstance(s, DeclVec) and s.init is not None:
+                self.state.vector_vars[s.var] = s.width
+                out.append(DeclVec(s.var, s.width, rewrite(s.init)))
+            else:
+                out.append(s)
+        return out
 
 
 def _cse_stmt(s: Stmt, state: _CseState) -> Stmt:
@@ -315,7 +331,7 @@ def _cse_stmt(s: Stmt, state: _CseState) -> Stmt:
 
         def flush() -> None:
             if run:
-                new.extend(_cse_segment(run, state))
+                new.extend(_SegmentCse(run, state).run())
                 run.clear()
 
         for sub in s.stmts:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from repro.rise.expr import Expr
 from repro.rise.traverse import children, count_nodes, rebuild
@@ -59,6 +59,8 @@ __all__ = [
 ]
 
 _MAX_REPEAT = 100_000
+
+_T = TypeVar("_T")
 
 
 class StrategyError(Exception):
@@ -194,11 +196,12 @@ def rule(name: str):
     return decorator
 
 
-def _at(strategy: Strategy, child: Expr, step) -> RewriteResult:
-    """Apply ``strategy`` to a child expression, pushing the traversal
-    ``step`` (child index, or ``"body"``/``"fun"``/``"arg"``) onto the
-    active trace collector's path so rule events report *where* in the
-    expression they fired.  A plain call when tracing is off."""
+def _at(strategy: Callable[[Expr], _T], child: Expr, step) -> _T:
+    """Apply ``strategy`` (or a traversal's own recursive step) to a child
+    expression, pushing the traversal ``step`` (child index, or
+    ``"body"``/``"fun"``/``"arg"``) onto the active trace collector's
+    path so rule events report *where* in the expression they fired.  A
+    plain call when tracing is off."""
     collector = _TRACE.get()
     if collector is None:
         return strategy(child)
@@ -249,10 +252,7 @@ def lchoice(first: Strategy, second: Strategy) -> Strategy:
 
 def try_(strategy: Strategy) -> Strategy:
     """Apply the strategy but succeed unchanged when it fails."""
-    return Strategy(
-        lambda e: lchoice(strategy, id_)(e),
-        f"try({strategy.name})",
-    )
+    return Strategy(lchoice(strategy, id_), f"try({strategy.name})")
 
 
 def repeat(strategy: Strategy) -> Strategy:
@@ -354,13 +354,16 @@ def some(strategy: Strategy) -> Strategy:
 
 
 def top_down(strategy: Strategy) -> Strategy:
-    """Depth-first top-down; rewrite the first location that matches."""
+    """Depth-first top-down (pre-order, children left to right): rewrite
+    the first location where the strategy succeeds and nothing else.
+    One call visits up to the whole term; use :func:`normalize` rather
+    than ``repeat(top_down(s))`` to rewrite to a fixpoint."""
 
     def run(expr: Expr) -> RewriteResult:
         result = strategy(expr)
         if isinstance(result, Success):
             return result
-        inner = one(wrapper)(expr)
+        inner = descend(expr)
         if isinstance(inner, Failure):
             # keep the strategy's own failure (e.g. the rule's "pattern did
             # not match") as the cause: it is the informative reason, not
@@ -369,6 +372,7 @@ def top_down(strategy: Strategy) -> Strategy:
         return inner
 
     wrapper = Strategy(run, f"topDown({strategy.name})")
+    descend = one(wrapper)
     return wrapper
 
 
@@ -376,12 +380,13 @@ def bottom_up(strategy: Strategy) -> Strategy:
     """Innermost-first; rewrite the first location that matches."""
 
     def run(expr: Expr) -> RewriteResult:
-        result = one(wrapper)(expr)
+        result = descend(expr)
         if isinstance(result, Success):
             return result
         return strategy(expr)
 
     wrapper = Strategy(run, f"bottomUp({strategy.name})")
+    descend = one(wrapper)
     return wrapper
 
 
@@ -408,9 +413,63 @@ def all_top_down(strategy: Strategy) -> Strategy:
 
 def normalize(strategy: Strategy) -> Strategy:
     """Apply everywhere, repeatedly, until no location matches (paper §II-C:
-    after ``normalize(s)`` the strategy ``s`` applies nowhere)."""
-    inner = repeat(top_down(strategy))
-    return Strategy(inner, f"normalize({strategy.name})")
+    after ``normalize(s)`` the strategy ``s`` applies nowhere).
+
+    Same normal form and same rewrite order as ``repeat(top_down(s))`` —
+    each step rewrites the leftmost-outermost location where ``s``
+    succeeds — with the same stop conditions: no location matches, ``s``
+    succeeds without changing the term, or ``_MAX_REPEAT`` steps
+    (:class:`StrategyError`).  Unlike that composition it does not walk
+    the whole term again after every step: for the duration of one call
+    it remembers the subtrees in which no location matches.  A rewrite
+    only creates the replacement and the spine from the root down to it
+    (:func:`~repro.rise.traverse.rebuild` keeps untouched children by
+    identity), so one step costs O(depth + new nodes), not O(term).
+
+    This relies on ``s`` deciding success or failure from the subterm it
+    is offered alone: no ambient mutable state, no dependence on where
+    the subterm sits.  The iteration count is reported to the trace
+    collector as ``repeat(topDown(s))``, the composition this implements.
+    """
+    spec_name = f"repeat(topDown({strategy.name}))"
+
+    def run(expr: Expr) -> RewriteResult:
+        # id -> subtree with no matching location; holding the subtree
+        # keeps its id from being reused while the entry is alive
+        settled: dict[int, Expr] = {}
+
+        def step(node: Expr) -> Optional[Expr]:
+            """``node`` with its first matching location rewritten, or
+            ``None`` (and ``node`` settled) when there is none."""
+            if id(node) in settled:
+                return None
+            result = strategy(node)
+            if isinstance(result, Success):
+                return result.expr
+            kids = children(node)
+            for index, kid in enumerate(kids):
+                new_kid = _at(step, kid, index)
+                if new_kid is not None:
+                    kids[index] = new_kid
+                    return rebuild(node, kids)
+            settled[id(node)] = node
+            return None
+
+        try:
+            for iterations in range(_MAX_REPEAT):
+                rewritten = step(expr)
+                if rewritten is None or rewritten is expr:
+                    _note_iterations(spec_name, iterations)
+                    return Success(expr)
+                expr = rewritten
+            _note_iterations(spec_name, _MAX_REPEAT)
+            raise StrategyError(f"{spec_name} exceeded {_MAX_REPEAT} steps")
+        finally:
+            # ``step`` refers to itself, a cycle only the collector frees:
+            # do not let it keep every settled subtree alive until then
+            settled.clear()
+
+    return Strategy(run, f"normalize({strategy.name})")
 
 
 def apply_once(strategy: Strategy) -> Strategy:

@@ -11,7 +11,7 @@ from repro.pipelines import harris, harris_input_type
 from repro.rise import Identifier
 from repro.rise import expr as expr_mod
 from repro.rise.traverse import alpha_equal
-from repro.strategies import cbuf_version
+from repro.strategies import cbuf_rrot_version, cbuf_version
 
 
 def _pin_gensym(start: int = 1_000_000) -> None:
@@ -21,20 +21,27 @@ def _pin_gensym(start: int = 1_000_000) -> None:
     expr_mod.Fresh._counter = itertools.count(start)
 
 
-def _lowered(senv):
+def _lowered(senv, version=cbuf_version):
     _pin_gensym()
-    return cbuf_version(senv, chunk=4).apply(harris(Identifier("rgb")))
+    return version(senv, chunk=4).apply(harris(Identifier("rgb")))
+
+
+def _assert_traced_equals_untraced(version):
+    senv = {"rgb": harris_input_type()}
+    untraced = _lowered(senv, version)
+    with tracing() as t:
+        traced = _lowered(senv, version)
+    assert t.rule_fired, "sanity: the traced run actually recorded rules"
+    assert traced == untraced  # bit-identical with the counter pinned
+    assert alpha_equal(traced, untraced)
 
 
 class TestTracedEqualsUntraced:
     def test_rewrite_result_identical(self):
-        senv = {"rgb": harris_input_type()}
-        untraced = _lowered(senv)
-        with tracing() as t:
-            traced = _lowered(senv)
-        assert t.rule_fired, "sanity: the traced run actually recorded rules"
-        assert traced == untraced  # bit-identical with the counter pinned
-        assert alpha_equal(traced, untraced)
+        _assert_traced_equals_untraced(cbuf_version)
+
+    def test_rewrite_result_identical_with_rotation(self):
+        _assert_traced_equals_untraced(cbuf_rrot_version)
 
     def test_compiled_code_identical_under_profiling(self):
         senv = {"rgb": harris_input_type()}
