@@ -78,6 +78,7 @@ from repro.codegen.views import (
     idx_mul,
     nat_expr,
 )
+from repro.codegen.opt import _is_vector_expr, _vector_width
 from repro.codegen.vectorize import VectorizeError, vectorize_stmts
 
 __all__ = ["compile_program", "CodegenError"]
@@ -226,7 +227,7 @@ class Ctx:
         self._counter = itertools.count()
         self.all_buffers: list[Buffer] = []
         self.vector_fallbacks: list[str] = []
-        self.vector_vars: set[str] = set()
+        self.vector_vars: dict[str, int] = {}
 
     # -- emission --------------------------------------------------------
 
@@ -336,35 +337,19 @@ def _const_index(values: tuple, index: IExpr, build) -> View:
     raise CodegenError("array literal indexed with non-constant index")
 
 
-def _expr_is_vector(e: IExpr, vector_vars: set[str]) -> bool:
-    if isinstance(e, (VLoad, Broadcast, VShuffle, VPack)):
-        return True
-    if isinstance(e, Var):
-        return e.name in vector_vars
-    if isinstance(e, BinOp):
-        return _expr_is_vector(e.a, vector_vars) or _expr_is_vector(e.b, vector_vars)
-    if isinstance(e, UnOp):
-        return _expr_is_vector(e.a, vector_vars)
-    return False
-
-
 def _bind_let(name: str, value_node: E.Expr, env: Mapping[str, View], ctx: Ctx) -> View:
     """Scalars are evaluated once into a temporary; everything else stays a
     (lazy) view.  A scalar-typed RISE value may still hold a *vector*
     expression when it is evaluated inside a vectorized context (rotation
-    windows); the temporary's kind follows the expression."""
+    windows); the temporary's kind and lane width follow the expression."""
     vtype = ctx.type_of(value_node)
     value = ev(value_node, env, ctx)
     if isinstance(vtype, (ScalarType, VectorType)) and isinstance(value, ScalarV):
-        if _expr_is_vector(value.expr, ctx.vector_vars):
+        if _is_vector_expr(value.expr, ctx.vector_vars):
             temp = ctx.fresh(f"{name.split('_')[0]}_v")
-            width = (
-                vtype.size.constant_value()
-                if isinstance(vtype, VectorType)
-                else 4
-            )
+            width = _vector_width(value.expr, ctx.vector_vars)
             ctx.emit(DeclVec(temp, width, value.expr))
-            ctx.vector_vars.add(temp)
+            ctx.vector_vars[temp] = width
             return ScalarV(Var(temp))
         temp = ctx.fresh(f"{name.split('_')[0]}_t")
         ctx.emit(DeclScalar(temp, value.expr))

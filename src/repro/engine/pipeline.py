@@ -33,7 +33,7 @@ import importlib
 import json
 import threading
 import time
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -371,7 +371,9 @@ class Engine:
             )
         return self.compile_request(request)
 
-    def compile_request(self, request: CompileRequest) -> CompiledPipeline:
+    def compile_request(
+        self, request: CompileRequest, publish: Callable[[CompileRequest], str] | None = None
+    ) -> CompiledPipeline:
         """Serve one :class:`CompileRequest` (see :meth:`compile`).
 
         Runs inside a request scope keyed by ``request.request_id``
@@ -379,12 +381,38 @@ class Engine:
         serve layer already activated one), so every span and event the
         compile emits — across singleflight, pool workers and backends —
         carries the same correlation identity.
+
+        ``publish`` moves the build of a miss out of this process: the
+        singleflight leader calls ``publish(request)`` (with the request's
+        effective cflags) instead of building, and it must leave the
+        artifact in this engine's disk store and return its cache status
+        there (``"miss"`` when it built, ``"hit-disk"`` when another
+        process had published first).  The engine then loads the
+        artifact; keying, the cache probe, coalescing and accounting are
+        those of an in-process build.
         """
         with ensure_request(request.request_id):
-            return self._compile_in_scope(request)
+            return self._compile_in_scope(request, publish)
 
-    def _compile_in_scope(self, request: CompileRequest) -> CompiledPipeline:
-        """The body of :meth:`compile_request`, under an active request scope."""
+    def lookup(self, request: CompileRequest) -> CompiledPipeline | None:
+        """The cache-only half of :meth:`compile_request`.
+
+        A hit (memory, then disk) is returned and accounted exactly as
+        :meth:`compile_request` would (``engine.compile.latency_ms`` and
+        the ``engine.compile.done`` event, under the request's scope); a
+        miss returns ``None`` and counts nothing, so the
+        :meth:`compile_request` that builds it counts the one miss.
+        """
+        with ensure_request(request.request_id):
+            request, key = self._keyed(request)
+            start = time.perf_counter()
+            entry, tier = self.cache.get(key, count_miss=False)
+            if entry is None:
+                return None
+            return self._served(request, key, entry, f"hit-{tier}", start)
+
+    def _keyed(self, request: CompileRequest) -> tuple[CompileRequest, str]:
+        """``request`` with its effective cflags, and its cache key."""
         if request.backend == "c":
             from repro.exec.cbridge import effective_cflags
 
@@ -398,6 +426,29 @@ class Engine:
             request.cflags,
             request.threads,
         )
+        return request, key
+
+    def _served(
+        self, request: CompileRequest, key: str, entry: CacheEntry, status: str, start: float
+    ) -> CompiledPipeline:
+        """Account one answered compile and wrap it in a handle."""
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        observe_value("engine.compile.latency_ms", elapsed_ms, cache=status)
+        emit(
+            "engine.compile.done",
+            key=key,
+            outcome="ok",
+            cache=status,
+            backend=request.backend,
+            compile_ms=round(elapsed_ms, 3),
+        )
+        return CompiledPipeline(self, entry, request, status, elapsed_ms)
+
+    def _compile_in_scope(
+        self, request: CompileRequest, publish: Callable[[CompileRequest], str] | None
+    ) -> CompiledPipeline:
+        """The body of :meth:`compile_request`, under an active request scope."""
+        request, key = self._keyed(request)
         start = time.perf_counter()
         with span(
             "engine.compile",
@@ -411,7 +462,7 @@ class Engine:
                 if entry is not None:
                     status = f"hit-{tier}"
                 else:
-                    entry, status = self._build_coalesced(key, request)
+                    entry, status = self._build_coalesced(key, request, publish)
             except BaseException as exc:
                 compile_span.meta["cache"] = "error"
                 emit(
@@ -424,32 +475,22 @@ class Engine:
                 raise
             compile_span.meta["cache"] = status
             compile_span.meta["key"] = key
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        observe_value("engine.compile.latency_ms", elapsed_ms, cache=status)
-        emit(
-            "engine.compile.done",
-            key=key,
-            outcome="ok",
-            cache=status,
-            backend=request.backend,
-            compile_ms=round(elapsed_ms, 3),
-        )
-        return CompiledPipeline(self, entry, request, status, elapsed_ms)
+        return self._served(request, key, entry, status, start)
 
     # -- internals -------------------------------------------------------
 
     def _build_coalesced(
-        self, key: str, request: CompileRequest
+        self,
+        key: str,
+        request: CompileRequest,
+        publish: Callable[[CompileRequest], str] | None,
     ) -> tuple[CacheEntry, str]:
         """Build ``key`` exactly once per process (and, with a disk
         store, once across processes), coalescing concurrent callers.
 
-        The first caller becomes the *leader* and builds; followers wait
+        The first caller becomes the *leader* and builds — here, or
+        through ``publish`` (see :meth:`compile_request`); followers wait
         on the leader's flight and share its entry (``"coalesced"``).
-        The leader holds the store's per-key build lock for the duration,
-        so a cold key compiled by N processes is built by exactly one —
-        everyone else re-checks the cache under the lock and finds the
-        published artifact.
         """
         with self._inflight_lock:
             flight = self._inflight.get(key)
@@ -478,37 +519,21 @@ class Engine:
                 raise flight.error
             return flight.entry, "coalesced"
         try:
-            store = self.cache.store
-            build_lock = store.build_lock(key) if store is not None else contextlib.nullcontext()
-            with build_lock:
-                # another process may have published while we waited
-                entry, tier = self.cache.get(key, count_miss=False)
-                if entry is not None:
-                    flight.entry, flight.status = entry, f"hit-{tier}"
-                    return entry, f"hit-{tier}"
-                emit("engine.build.start", key=key, backend=request.backend)
-                build_t0 = time.perf_counter()
-                prog = self._build_program(request)
-                entry = CacheEntry(
-                    key=key,
-                    program=prog,
-                    backend=request.backend,
-                    meta={"cflags": list(request.cflags), "threads": request.threads},
-                )
-                if request.backend == "c":
-                    self._attach_library(entry, request.cflags)
-                self.cache.put(entry)
-                emit(
-                    "engine.build.done",
-                    key=key,
-                    outcome="ok",
-                    backend=request.backend,
-                    build_ms=round((time.perf_counter() - build_t0) * 1e3, 3),
-                )
-            count("engine.compiles")
-            inc("engine.compiles", backend=request.backend)
-            flight.entry, flight.status = entry, "miss"
-            return entry, "miss"
+            if publish is None:
+                entry, status = self._build_here(key, request)
+            else:
+                status = publish(request)
+                entry, _ = self.cache.get(key, count_miss=False)
+                if entry is None:
+                    raise RuntimeError(
+                        f"out-of-process build of {request.describe()} left no "
+                        f"artifact under key {key[:12]} in the store"
+                    )
+            if status == "miss":
+                count("engine.compiles")
+                inc("engine.compiles", backend=request.backend)
+            flight.entry, flight.status = entry, status
+            return entry, status
         except BaseException as exc:
             flight.error = exc
             raise
@@ -516,6 +541,42 @@ class Engine:
             with self._inflight_lock:
                 self._inflight.pop(key, None)
             flight.done.set()
+
+    def _build_here(self, key: str, request: CompileRequest) -> tuple[CacheEntry, str]:
+        """Build and publish ``key`` in this process.
+
+        Holds the store's per-key build lock for the duration, so a cold
+        key compiled by N processes is built by exactly one — everyone
+        else re-checks the cache under the lock and finds the published
+        artifact (``"hit-<tier>"`` instead of ``"miss"``).
+        """
+        store = self.cache.store
+        build_lock = store.build_lock(key) if store is not None else contextlib.nullcontext()
+        with build_lock:
+            # another process may have published while we waited
+            entry, tier = self.cache.get(key, count_miss=False)
+            if entry is not None:
+                return entry, f"hit-{tier}"
+            emit("engine.build.start", key=key, backend=request.backend)
+            build_t0 = time.perf_counter()
+            prog = self._build_program(request)
+            entry = CacheEntry(
+                key=key,
+                program=prog,
+                backend=request.backend,
+                meta={"cflags": list(request.cflags), "threads": request.threads},
+            )
+            if request.backend == "c":
+                self._attach_library(entry, request.cflags)
+            self.cache.put(entry)
+            emit(
+                "engine.build.done",
+                key=key,
+                outcome="ok",
+                backend=request.backend,
+                build_ms=round((time.perf_counter() - build_t0) * 1e3, 3),
+            )
+        return entry, "miss"
 
     def _key_for(
         self, source, strategy, backend, type_env, options, cflags, threads=None

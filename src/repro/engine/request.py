@@ -155,6 +155,27 @@ class CompileRequest:
         current.update(changes)
         return CompileRequest(**current)
 
+    def __reduce__(self):
+        """Pickle as constructor arguments, so unpickling re-freezes the
+        mappings and re-validates every field.
+
+        Only plain data pickles: a request carrying a live ``strategy``
+        object (ELEVATE strategies close over local functions) raises
+        ``TypeError`` here, on the sending side.
+        """
+        if self.strategy is not None:
+            raise TypeError(
+                f"a CompileRequest with a live strategy does not pickle "
+                f"({self.describe()}); only plain-data requests cross processes"
+            )
+        return (
+            CompileRequest,
+            tuple(
+                dict(value) if isinstance(value, MappingProxyType) else value
+                for value in (getattr(self, f.name) for f in fields(self))
+            ),
+        )
+
     def describe(self) -> str:
         """A short human-readable label (logs, load-test output)."""
         if isinstance(self.source, str):

@@ -39,6 +39,8 @@ __all__ = [
     "openmp_available",
     "effective_cflags",
     "OPENMP_FLAG",
+    "GCC_TIMEOUT_S",
+    "CCompileError",
     "CLibrary",
     "compile_c_library",
     "load_c_library",
@@ -52,6 +54,29 @@ DEFAULT_CFLAGS = ("-O2",)
 #: absent from every build — the emitted pragma was inert and all
 #: "parallel" C executions ran sequentially.
 OPENMP_FLAG = "-fopenmp"
+
+#: Wall-clock limit of one compiler invocation.  The slowest zoo kernel
+#: (harris cbuf-rot-par) compiles in ~0.35 s on a 2-core x86 VM with
+#: gcc 12, so only a wedged compiler reaches this.
+GCC_TIMEOUT_S = 60.0
+
+#: Lines of compiler diagnostics kept on a :class:`CCompileError`.
+STDERR_TAIL_LINES = 20
+
+
+class CCompileError(RuntimeError):
+    """The host C compiler failed or timed out on one kernel.
+
+    ``kernel`` names the program; ``stderr_tail`` holds the last
+    :data:`STDERR_TAIL_LINES` lines of the compiler's diagnostics, which
+    the message repeats.
+    """
+
+    def __init__(self, kernel: str, reason: str, stderr: str = ""):
+        self.kernel = kernel
+        self.stderr_tail = "\n".join(stderr.splitlines()[-STDERR_TAIL_LINES:])
+        message = f"C build of kernel {kernel!r} {reason}"
+        super().__init__(f"{message}:\n{self.stderr_tail}" if self.stderr_tail else message)
 
 
 def have_c_compiler() -> bool:
@@ -178,6 +203,16 @@ class CLibrary:
         return f"<CLibrary {self.path.name} {state}>"
 
 
+def _run_compiler(cmd: list[str], kernel: str) -> None:
+    """Run one compiler command; :class:`CCompileError` on failure or timeout."""
+    try:
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=GCC_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        raise CCompileError(kernel, f"timed out after {GCC_TIMEOUT_S:g} s") from None
+    if done.returncode != 0:
+        raise CCompileError(kernel, f"failed (exit {done.returncode})", done.stderr)
+
+
 def compile_c_library(
     prog: ImpProgram,
     out_dir: Path | str | None = None,
@@ -188,7 +223,8 @@ def compile_c_library(
 
     With ``out_dir`` the ``.so`` lands there (the artifact store's layout)
     and the caller owns the files; without it a private tempdir is created
-    and owned by the returned :class:`CLibrary`.
+    and owned by the returned :class:`CLibrary`.  A compiler that fails,
+    or runs past :data:`GCC_TIMEOUT_S`, raises :class:`CCompileError`.
     """
     source = source if source is not None else program_to_c(prog)
     owned: Path | None = None
@@ -213,7 +249,12 @@ def compile_c_library(
     ]
     t0 = time.perf_counter()
     with span("engine.cbuild", program=prog.name):
-        subprocess.run(cmd, check=True, capture_output=True)
+        try:
+            _run_compiler(cmd, prog.name)
+        except CCompileError:
+            if owned is not None:
+                shutil.rmtree(owned, ignore_errors=True)
+            raise
         count("engine.cbuild")
     inc("engine.cbuild")
     observe_value("engine.cbuild_ms", (time.perf_counter() - t0) * 1e3)
@@ -267,6 +308,8 @@ def execute_with_library(
     works and batch workers degrade to 1 thread).  Without OpenMP in the
     build the pin is a no-op and ``PARALLEL`` loops run sequentially.
 
+    An input whose element count differs from its buffer's raises
+    ``ValueError`` (it would otherwise be zero-filled or truncated).
     Each call allocates its own padded buffers, so one loaded library can
     serve concurrent callers (the batch executor's thread pool): ctypes
     releases the GIL for the duration of each kernel call.
@@ -293,8 +336,12 @@ def execute_with_library(
                 data = np.asarray(inputs[b.name], dtype=np.float32).ravel()
             else:
                 raise KeyError(f"no input for buffer {b.name!r}")
+            if len(data) != size:
+                raise ValueError(
+                    f"buffer {b.name!r} holds {size} elements, got {len(data)}"
+                )
             buf = np.zeros(size + BUFFER_PAD, dtype=np.float32)
-            buf[: min(len(data), size)] = data[:size]
+            buf[:size] = data
             argtypes.append(ctypes.POINTER(ctypes.c_float))
             call_args.append(buf.ctypes.data_as(ctypes.POINTER(ctypes.c_float)))
         out_size = int(fn.output.size.evaluate(sizes))

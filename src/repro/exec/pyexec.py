@@ -294,7 +294,8 @@ def execute_program(
     """Execute a compiled program.
 
     ``inputs`` maps input buffer names to numpy arrays (any shape; they
-    are flattened into padded float32 buffers).  Multi-kernel programs
+    are flattened into padded float32 buffers, and an element count that
+    differs from the buffer's raises ``ValueError``).  Multi-kernel programs
     execute in order; a kernel whose input name matches an earlier
     kernel's name reads that kernel's output (the convention used by the
     library/LIFT baselines).
@@ -341,8 +342,12 @@ def execute_program(
             data = np.asarray(inputs[buf_name], dtype=np.float32).ravel()
         else:
             raise KeyError(f"no input for buffer {buf_name!r}")
+        if len(data) != size:
+            raise ValueError(
+                f"buffer {buf_name!r} holds {size} elements, got {len(data)}"
+            )
         out = np.zeros(size + BUFFER_PAD, dtype=np.float32)
-        out[: min(len(data), size)] = data[:size]
+        out[:size] = data
         return out
 
     result: np.ndarray | None = None

@@ -14,11 +14,13 @@ spine on top of three engine-level guarantees:
 
 This package adds the traffic-facing pieces:
 
-* :class:`Server` (:mod:`repro.serve.server`) — an asyncio admission
-  gate: a bounded queue (overflow rejected immediately with
-  :class:`ServerBusy`, the 429 of this API), per-request deadlines
-  (:class:`DeadlineExceeded`), and a worker pool draining requests
-  through the engine;
+* :class:`Server` (:mod:`repro.serve.server`) — an asyncio front
+  door: cache hits are answered on the event loop without queueing;
+  misses wait in a bounded queue (overflow rejected immediately with
+  :class:`ServerBusy`, the 429 of this API) under per-request deadlines
+  (:class:`DeadlineExceeded`) for a build slot, and are built by a
+  low-priority child process or in a worker thread, by the one rule of
+  :func:`builds_out_of_process` (a failed child is :class:`BuildFailed`);
 * :mod:`repro.serve.aot` — ahead-of-time prebuilding of a named kernel
   library (the Harris schedule variants across backends) into a shared
   artifact store, so serving never pays JIT latency — the Halide
@@ -37,13 +39,19 @@ from repro.serve.aot import (
     zoo_kernel_requests,
 )
 from repro.serve.loadtest import LoadtestResult, run_loadtest
-from repro.serve.server import DeadlineExceeded, Server, ServerBusy, ServerError
+from repro.serve.server import (
+    BuildFailed, BuildTimeout, DeadlineExceeded, Server, ServerBusy, ServerError,
+    builds_out_of_process,
+)
 
 __all__ = [
     "Server",
     "ServerError",
     "ServerBusy",
     "DeadlineExceeded",
+    "BuildFailed",
+    "BuildTimeout",
+    "builds_out_of_process",
     "prebuild",
     "load_manifest",
     "harris_kernel_requests",

@@ -139,16 +139,12 @@ def serve_cells(result: LoadtestResult) -> dict[str, float]:
 def _cold_requests(count: int, backend: str = "python") -> list[CompileRequest]:
     """``count`` requests whose keys the AOT grid cannot contain.
 
-    Cold keys come from cbuf schedules at chunk sizes the prebuilt set
-    never uses (the strategy identity is part of the cache key), so a
-    loadtest against a warm store still measures true JIT latency.
+    Cold keys are Harris cbuf kernels at chunk sizes the prebuilt set
+    never uses (the builder options are part of the cache key), so a
+    loadtest against a warm store still measures true JIT latency.  They
+    address the registry's ``"zoo"`` builder, i.e. are plain data, so a
+    store-backed server builds them in child processes.
     """
-    from repro.pipelines import harris, harris_input_type
-    from repro.rise import Identifier
-    from repro.strategies.schedules import cbuf_version
-
-    env = {"rgb": harris_input_type()}
-    expr = harris(Identifier("rgb"))
     # chunks divide the loadtest image's inner height (24) but avoid the
     # AOT grid's chunk (4); past the chunk cycle, an explicit thread pin
     # (part of the cache key) keeps minting fresh cold keys.
@@ -159,11 +155,9 @@ def _cold_requests(count: int, backend: str = "python") -> list[CompileRequest]:
         threads = None if i < len(chunks) else 2 + i // len(chunks)
         requests.append(
             CompileRequest(
-                source=expr,
-                strategy=cbuf_version(env, chunk=chunk),
-                type_env=env,
+                source="zoo",
+                options={"pipeline": "harris", "schedule": "cbuf", "chunk": chunk},
                 backend=backend,
-                name=f"harris_cold_{chunk}",
                 threads=threads,
             )
         )

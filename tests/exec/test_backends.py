@@ -58,6 +58,20 @@ class TestPythonBackend:
         assert out[0] == expected
 
 
+class TestInputSizes:
+    """A wrong-sized input is an error, not a zero-filled or truncated
+    buffer that yields a wrong answer."""
+
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("c", marks=pytest.mark.requires_gcc)]
+    )
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_wrong_sized_input_raises(self, double_prog, backend, length):
+        pipeline = repro.compile(double_prog, backend=backend, sizes={"n": 4})
+        with pytest.raises(ValueError, match=f"'xs' holds 4 elements, got {length}"):
+            pipeline.run(xs=np.arange(float(length)))
+
+
 class TestCPrinter:
     def test_nat_to_c(self):
         n = nat("n")
@@ -117,3 +131,27 @@ class TestCBridge:
         py = repro.compile(prog, sizes={"n": 9}).run(xs=data)
         c = repro.compile(prog, backend="c", sizes={"n": 9}).run(xs=data)
         np.testing.assert_allclose(py, c, rtol=1e-6)
+
+    def test_rejected_source_names_the_kernel_and_keeps_diagnostics(self, double_prog):
+        from repro.exec.cbridge import STDERR_TAIL_LINES, CCompileError, compile_c_library
+
+        with pytest.raises(CCompileError) as info:
+            compile_c_library(double_prog, source="void dbl(void) { not C at all; }\n")
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.kernel == "dbl"
+        assert "error" in info.value.stderr_tail
+        assert 0 < len(info.value.stderr_tail.splitlines()) <= STDERR_TAIL_LINES
+        assert "'dbl'" in str(info.value) and info.value.stderr_tail in str(info.value)
+
+
+class TestWedgedCompiler:
+    def test_compiler_past_the_limit_is_killed(self, double_prog, tmp_path, monkeypatch):
+        from repro.exec import cbridge
+
+        fake = tmp_path / "fake-cc"
+        fake.write_text("#!/bin/sh\nexec sleep 30\n")
+        fake.chmod(0o755)
+        monkeypatch.setattr(cbridge, "_compiler", lambda: str(fake))
+        monkeypatch.setattr(cbridge, "GCC_TIMEOUT_S", 0.5)
+        with pytest.raises(cbridge.CCompileError, match="'dbl' timed out after 0.5 s"):
+            cbridge.compile_c_library(double_prog, out_dir=tmp_path / "out")

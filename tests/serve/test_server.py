@@ -54,6 +54,25 @@ class TestLifecycle:
 
         asyncio.run(main())
 
+    def test_stop_drains_a_full_queue(self):
+        engine = _SlowEngine()
+
+        async def main():
+            server = await Server(engine, max_queue=1, workers=1).start()
+            first = asyncio.ensure_future(server.submit(_request(2.0)))
+            for _ in range(100):
+                await asyncio.sleep(0.01)
+                if server._queue.qsize() == 0:
+                    break
+            second = asyncio.ensure_future(server.submit(_request(3.0)))
+            await asyncio.sleep(0.01)  # second fills the one queue slot
+            asyncio.get_running_loop().call_later(0.05, engine.release.set)
+            await server.stop()
+            return await first, await second
+
+        first, second = asyncio.run(main())
+        assert (first.cache_status, second.cache_status) == ("miss", "miss")
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="max_queue"):
             Server(Engine(), max_queue=0)
@@ -96,6 +115,54 @@ class TestHappyPath:
         assert doc["submitted"] == 1
         assert doc["completed"] == 1
         assert doc["rejected"] == 0
+
+
+class TestHitsBypassTheQueue:
+    def test_hit_is_answered_while_every_build_slot_is_held(
+        self, fresh_metrics_registry, fresh_event_log
+    ):
+        engine = _SlowEngine()
+        warm = _request(7.0)
+        engine.release.set()
+        engine.compile_request(warm)
+        engine.release.clear()
+
+        async def main():
+            async with Server(engine, max_queue=1, workers=2) as server:
+                blocked = []
+                for factor in (2.0, 3.0):
+                    blocked.append(asyncio.ensure_future(server.submit(_request(factor))))
+                    for _ in range(100):
+                        await asyncio.sleep(0.01)
+                        if server._queue.qsize() == 0:
+                            break
+                # both workers now sit in blocked builds; a third miss
+                # takes the one queue slot
+                queued = asyncio.ensure_future(server.submit(_request(5.0)))
+                await asyncio.sleep(0.01)
+
+                def admission():
+                    return (
+                        fresh_metrics_registry.gauge("serve.queue_depth").value,
+                        server.stats.queue_high_water,
+                        server.stats.rejected,
+                    )
+
+                before = admission()
+                hit = await asyncio.wait_for(server.submit(warm), timeout=30)
+                after = admission()
+                engine.release.set()
+                await asyncio.gather(*blocked, queued)
+                return hit, before, after
+
+        hit, before, after = asyncio.run(main())
+        assert hit.cache_status == "hit-memory"
+        assert before[0] == 1  # the queue is full ...
+        assert after == before  # ... and the hit neither queued nor was refused
+        waits = fresh_metrics_registry.histogram("serve.wait_ms")
+        assert waits.count == 4  # three misses dequeued + the hit's zero wait
+        admitted = [r for r in fresh_event_log.events() if r["event"] == "serve.admit"]
+        assert len(admitted) == 3
 
 
 class TestAdmissionControl:

@@ -22,22 +22,27 @@ CHUNK, VEC, STRIP = 4, 4, 2
 ZOO_PIPELINES = tuple(n for n in registry.names() if n != "harris")
 
 
-def _matrix():
+def _matrix(pipelines=ZOO_PIPELINES, vec=VEC, naive=True):
     cells = []
-    for name in ZOO_PIPELINES:
-        reports = registry.applicable_schedules(name, chunk=CHUNK, vec=VEC, strip=STRIP)
+    for name in pipelines:
+        reports = registry.applicable_schedules(name, chunk=CHUNK, vec=vec, strip=STRIP)
         for schedule, report in reports.items():
-            if report.applies:
+            if report.applies and (naive or schedule != "naive"):
                 cells.append((name, schedule))
     return cells
 
 
 MATRIX = _matrix()
 
+#: 8-lane vectors through every pipeline, Harris included: its rotated
+#: schedules once declared an 8-lane shared value as ``v4f``, which gcc
+#: rejects.  Naive code has no vectors, so it has no rows here.
+VEC8_MATRIX = _matrix(registry.names(), vec=8, naive=False)
 
-def _run_cell(pipeline: str, schedule: str, backend: str):
+
+def _run_cell(pipeline: str, schedule: str, backend: str, vec: int = VEC):
     spec = registry.get(pipeline)
-    sizes = spec.concrete_sizes(CHUNK, VEC, STRIP)
+    sizes = spec.concrete_sizes(CHUNK, vec, STRIP)
     inputs = spec.make_inputs(sizes, seed=11)
     expected = spec.reference_output(inputs)
     compiled = repro.compile(
@@ -46,7 +51,7 @@ def _run_cell(pipeline: str, schedule: str, backend: str):
             "pipeline": pipeline,
             "schedule": schedule,
             "chunk": CHUNK,
-            "vec": VEC,
+            "vec": vec,
             "strip": STRIP,
         },
         backend=backend,
@@ -73,6 +78,11 @@ class TestDifferentialMatrix:
     @pytest.mark.parametrize("pipeline,schedule", MATRIX)
     def test_c_backend_matches_reference(self, pipeline, schedule):
         _run_cell(pipeline, schedule, "c")
+
+    @pytest.mark.requires_gcc
+    @pytest.mark.parametrize("pipeline,schedule", VEC8_MATRIX)
+    def test_c_backend_at_vec8_matches_reference(self, pipeline, schedule):
+        _run_cell(pipeline, schedule, "c", vec=8)
 
 
 class TestParameterOverrides:
