@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
@@ -34,8 +33,6 @@ __all__ = [
     "fig1_normalized",
     "claims",
     "Fig8Cell",
-    "WallCell",
-    "wallclock_grid",
     "run_report",
 ]
 
@@ -128,117 +125,6 @@ def fig8_grid(
                     Fig8Cell(machine.name, image.name, name, report.runtime_ms, report)
                 )
     return cells
-
-
-@dataclass
-class WallCell:
-    """One measured (not modeled) wall-clock benchmark result."""
-
-    schedule: str
-    image: str
-    backend: str
-    threads: int
-    wall_ms: float          # min over the k repeats
-    runs_ms: list[float]
-
-    @property
-    def key(self) -> str:
-        """Trajectory cell name: ``wall|<schedule>@<threads>t|<image>``.
-
-        The ``wall|`` prefix marks measured cells — the regression gate
-        treats them as informational by default (``--gate-wall`` opts in)
-        because CI machines make wall clocks noisy, unlike the
-        deterministic cost-model cells."""
-        return f"wall|{self.schedule}@{self.threads}t|{self.image}"
-
-
-def wallclock_grid(
-    thread_counts: tuple[int, ...] = (1, 2, 4),
-    k: int = 3,
-    height: int = 132,
-    width: int = 132,
-    chunk: int = 4,
-    vec: int = DEFAULT_VEC,
-    strip: int = 2,
-    seed: int = 7,
-    backend: str | None = None,
-    engine: Engine | None = None,
-) -> list[WallCell]:
-    """Measured wall-clock (min-of-``k``) of the rotation schedules across
-    thread counts — the multicore counterpart of the modeled fig. 8 grid.
-
-    Benchmarks ``cbuf+rot`` and ``cbuf+rot+par`` at every thread count in
-    ``thread_counts`` on one synthetic image, via one engine-compiled
-    pipeline per schedule (so repeats and thread counts reuse the same
-    artifact and only the thread pin varies).  ``backend`` defaults to
-    ``"c"`` when a host compiler exists, else the Python backend.  The
-    small default ``chunk`` keeps the parallel extent high enough
-    (``(height-4)/chunk/strip`` strips) to occupy 4 threads even on
-    moderate images.  Each measurement also lands in the metrics registry
-    as a ``bench.wall_ms`` observation.
-    """
-    import time as _time
-
-    from repro.exec.cbridge import have_c_compiler
-    from repro.image import synthetic_rgb
-    from repro.observe.metrics import observe_value
-    from repro.strategies import cbuf_rrot_par_version
-    from repro.strategies import cbuf_rrot_version as _rrot
-
-    if backend is None:
-        backend = "c" if have_c_compiler() else "python"
-    eng = engine if engine is not None else default_engine()
-    senv = {"rgb": harris_input_type()}
-    high = harris(Identifier("rgb"))
-    n, m = height - 4, width - 4
-    image_name = f"{height}x{width}"
-    img = synthetic_rgb(height, width, seed=seed)
-    k = max(1, int(k))
-    schedules = {
-        "rise-cbuf-rrot": _rrot(senv, chunk=chunk, vec=vec),
-        "rise-cbuf-rrot-par": cbuf_rrot_par_version(
-            senv, chunk=chunk, vec=vec, strip=strip
-        ),
-    }
-    cells: list[WallCell] = []
-    for sched_name, sched in schedules.items():
-        pipeline = eng.compile(
-            high,
-            strategy=sched,
-            type_env=senv,
-            backend=backend,
-            name=sched_name.replace("-", "_"),
-            sizes={"n": n, "m": m},
-        )
-        for threads in thread_counts:
-            runs_ms: list[float] = []
-            for _ in range(k):
-                t0 = _time.perf_counter()
-                pipeline.run(threads=threads, rgb=img)
-                runs_ms.append((_time.perf_counter() - t0) * 1e3)
-            wall = min(runs_ms)
-            observe_value(
-                "bench.wall_ms",
-                wall,
-                schedule=sched_name,
-                threads=threads,
-                backend=backend,
-            )
-            cells.append(
-                WallCell(sched_name, image_name, backend, threads, wall, runs_ms)
-            )
-    return cells
-
-
-def format_wall(cells: list[WallCell]) -> str:
-    """Render wall-clock cells as a small table (ms, lower=better)."""
-    lines = [f"{'schedule':<22} {'image':<10} {'backend':<8} {'threads':>7} {'wall_ms':>10}"]
-    lines.append("-" * len(lines[0]))
-    for c in cells:
-        lines.append(
-            f"{c.schedule:<22} {c.image:<10} {c.backend:<8} {c.threads:>7} {c.wall_ms:>10.3f}"
-        )
-    return "\n".join(lines)
 
 
 def fig1_normalized(chunk: int = DEFAULT_CHUNK, vec: int = DEFAULT_VEC) -> dict[str, float]:
@@ -440,15 +326,11 @@ def _main() -> None:
     ``python -m repro.bench.harness --report x.json`` form still works):
 
     * ``run_report`` — one observed compile-and-validate run: writes the
-      JSON run report, appends a min-of-k sample to the benchmark
-      trajectory (``BENCH_trajectory.json``; disable with
-      ``--no-trajectory``), optionally merges a measured wall-clock smoke
-      (``--wall-smoke``: k=1, small image, 1 and 4 threads) into the
-      sample's cells, and optionally exports the execution phase as
+      JSON run report, appends a min-of-k sample of modeled cells to the
+      benchmark trajectory (``BENCH_trajectory.json``; disable with
+      ``--no-trajectory``), and optionally exports the execution phase as
       Chrome trace JSON (``--trace-out``);
-    * ``fig8`` — print the paper's fig. 8 runtime grid;
-    * ``wall`` — measure the wall-clock grid (``wallclock_grid``) and
-      print it.
+    * ``fig8`` — print the paper's fig. 8 runtime grid.
     """
     import argparse
 
@@ -461,7 +343,7 @@ def _main() -> None:
         "command",
         nargs="?",
         default="run_report",
-        choices=("run_report", "fig8", "wall"),
+        choices=("run_report", "fig8"),
         help="what to run (default: %(default)s)",
     )
     parser.add_argument("--report", default="bench_report.json", help="output JSON path")
@@ -488,40 +370,15 @@ def _main() -> None:
         help="also export the execution phase as Chrome trace-event JSON",
     )
     parser.add_argument(
-        "--wall-smoke",
-        action="store_true",
-        help="merge a k=1 small-image wall-clock smoke (1 and 4 threads) "
-        "into the trajectory sample as wall| cells",
-    )
-    parser.add_argument(
         "--no-zoo",
         action="store_true",
         help="do not merge the pipeline-zoo cost cells (zoo|...) into "
         "the trajectory sample",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4],
-        help="thread counts for the wall command (default: %(default)s)",
-    )
     args = parser.parse_args()
 
     if args.command == "fig8":
         print(format_fig8(fig8_grid(chunk=args.chunk, vec=args.vec)))
-        return
-    if args.command == "wall":
-        print(
-            format_wall(
-                wallclock_grid(
-                    thread_counts=tuple(args.threads),
-                    k=args.k,
-                    height=args.height,
-                    width=args.width,
-                )
-            )
-        )
         return
 
     report = run_report(
@@ -537,27 +394,18 @@ def _main() -> None:
     if args.trace_out:
         print(f"wrote {args.trace_out}")
     if not args.no_trajectory:
-        merged_cells: dict[str, float] = {}
-        if args.wall_smoke:
-            merged_cells.update(
-                {
-                    c.key: c.wall_ms
-                    for c in wallclock_grid(
-                        thread_counts=(1, 4), k=1, height=36, width=36, chunk=4
-                    )
-                }
-            )
+        zoo = None
         if not args.no_zoo:
             from repro.bench.zoo import zoo_cells
 
-            merged_cells.update(zoo_cells())
+            zoo = zoo_cells()
         sample = collect_sample(
             chunk=args.chunk,
             vec=args.vec,
             k=args.k,
             metrics=report.metrics.get("registry", {}),
             extra={"batch": report.engine.get("batch", {})},
-            wall=merged_cells or None,
+            cells=zoo,
         )
         doc = append_sample(args.trajectory, sample)
         print(

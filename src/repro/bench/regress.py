@@ -2,9 +2,10 @@
 
 Every observed bench run can append one schema-versioned *sample* to a
 trajectory file: the min-of-k runtime of every fig. 8 cell (machine x
-image x implementation, from the analytic cost model), the measured
-batch-execution summary, a metrics-registry snapshot and the producing
-git SHA.  ``tools/bench_compare.py`` then replays the trajectory and
+image x implementation, from the analytic cost model), the batch
+summary, a metrics-registry snapshot and the producing git SHA.  The
+ledger holds modeled cells only; measured wall clock lives in
+``benchmarks/e2e``.  ``tools/bench_compare.py`` then replays the trajectory and
 flags any cell of the newest sample that is more than a configurable
 relative threshold slower than the best previously recorded value —
 min-of-k against a min-over-history baseline, the robust-statistics
@@ -15,8 +16,9 @@ one noisy run cannot mask or fabricate a regression.
     append_sample("BENCH_trajectory.json", sample)
     regressions = compare_trajectory(load_trajectory("BENCH_trajectory.json"))
 
-Produced by ``python -m repro.bench.harness run_report`` and consumed in
-CI by the ``bench-regress`` job.
+Produced by ``python -m repro.bench.harness run_report`` and
+``python -m repro.bench.zoo append``, and consumed in CI by the
+``bench-regress`` job.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ __all__ = [
     "SAMPLE_SCHEMA",
     "DEFAULT_TRAJECTORY",
     "DEFAULT_THRESHOLD",
-    "WALL_CELL_PREFIX",
-    "TUNED_CELL_PREFIX",
-    "SERVE_CELL_PREFIX",
     "ZOO_CELL_PREFIX",
     "Regression",
     "git_sha",
@@ -76,23 +75,19 @@ def collect_sample(
     k: int = 3,
     metrics: dict | None = None,
     extra: dict | None = None,
-    wall: dict | None = None,
+    cells: dict | None = None,
 ) -> dict:
     """One schema-versioned trajectory sample for the current tree.
 
-    ``cells`` maps ``"machine|image|implementation"`` to the min-of-``k``
-    modeled runtime in ms (the cost model is deterministic, so k > 1
-    guards only against future measured backends); ``metrics`` embeds a
-    metrics-registry snapshot and ``extra`` free-form run context (batch
-    throughput, report paths, ...).
+    The sample's ``cells`` map ``"machine|image|implementation"`` to the
+    min-of-``k`` modeled runtime in ms (the cost model is deterministic,
+    so k > 1 guards only against nondeterminism creeping into it);
+    ``metrics`` embeds a metrics-registry snapshot and ``extra``
+    free-form run context (batch throughput, report paths, ...).
 
-    ``wall`` merges extra prefixed cells into the same cell map: measured
-    wall-clock cells (``"wall|<schedule>@<t>t|<image>" -> min-of-k ms``,
-    see :func:`repro.bench.harness.wallclock_grid`) and pipeline-zoo
-    cost cells (``"zoo|..."``, see :func:`repro.bench.zoo.zoo_cells`).
-    The prefixes keep them distinguishable so the comparison gate can
-    treat measured cells as informational while still gating the
-    deterministic modeled ones (fig. 8 and ``zoo|`` alike).
+    ``cells`` merges further modeled cells into the same map: the
+    pipeline-zoo cost cells (``"zoo|..."``, see
+    :func:`repro.bench.zoo.zoo_cells`).
     """
     from repro.bench.harness import DEFAULT_CHUNK, DEFAULT_VEC, fig8_grid
 
@@ -101,17 +96,19 @@ def collect_sample(
     k = max(1, int(k))
     runs: list[dict[str, float]] = []
     for _ in range(k):
-        cells: dict[str, float] = {}
-        for cell in fig8_grid(chunk=chunk, vec=vec):
-            cells[f"{cell.machine}|{cell.image}|{cell.implementation}"] = float(
-                cell.runtime_ms
-            )
-        runs.append(cells)
+        runs.append(
+            {
+                f"{cell.machine}|{cell.image}|{cell.implementation}": float(
+                    cell.runtime_ms
+                )
+                for cell in fig8_grid(chunk=chunk, vec=vec)
+            }
+        )
     min_of_k = {
         key: round(min(run[key] for run in runs), 6) for key in sorted(runs[0])
     }
-    if wall:
-        min_of_k.update({key: round(float(ms), 6) for key, ms in wall.items()})
+    if cells:
+        min_of_k.update({key: round(float(ms), 6) for key, ms in cells.items()})
     sample = {
         "schema": SAMPLE_SCHEMA,
         "timestamp": round(time.time(), 3),
@@ -200,27 +197,9 @@ def compare_cells(
     return regressions
 
 
-#: Prefix of measured wall-clock cells (informational unless gated).
-WALL_CELL_PREFIX = "wall|"
-
-#: Prefix of autotuner-discovered schedule cells (informational unless
-#: gated): ``tuned|<schedule>|<machine>|<image>``, written by
-#: ``tools/tune.py``.  Discovered schedules come and go with the search
-#: configuration, so by default their history informs but does not gate.
-TUNED_CELL_PREFIX = "tuned|"
-
-#: Prefix of serving-latency cells (informational unless gated):
-#: ``serve|<quantile>|<family>`` percentiles written by
-#: ``tools/loadtest.py``.  Like ``wall|`` they are measured wall clocks
-#: on whatever machine ran the loadtest, so by default they inform the
-#: trajectory without gating it.
-SERVE_CELL_PREFIX = "serve|"
-
 #: Prefix of pipeline-zoo cells: ``zoo|<pipeline>|<schedule>|<machine>``
-#: from :func:`repro.bench.zoo.zoo_cells`.  These are deterministic
-#: cost-model outputs like the fig. 8 cells, so — unlike the measured
-#: prefixes above — they are *gated by default*; no opt-in flag exists
-#: or is needed.
+#: from :func:`repro.bench.zoo.zoo_cells`.  Deterministic cost-model
+#: outputs like the fig. 8 cells, and gated like them.
 ZOO_CELL_PREFIX = "zoo|"
 
 
@@ -228,9 +207,6 @@ def compare_trajectory(
     trajectory: dict,
     candidate: dict | None = None,
     threshold: float = DEFAULT_THRESHOLD,
-    gate_wall: bool = False,
-    gate_tuned: bool = False,
-    gate_serve: bool = False,
 ) -> tuple[list[Regression], dict]:
     """Compare a candidate sample against the trajectory's history.
 
@@ -238,21 +214,15 @@ def compare_trajectory(
     against all *earlier* ones; an explicit candidate is compared against
     the whole trajectory.  The per-cell baseline is the minimum over the
     history — min-of-k samples against a min-over-history baseline keeps
-    one slow CI machine from drowning a real regression in noise.
+    one slow CI machine from drowning a real regression in noise.  Every
+    cell is gated: the ledger holds modeled cells only.
 
-    Measured ``wall|`` cells are excluded from the gate unless
-    ``gate_wall`` — wall clocks on shared CI runners are noisy, and a
-    noisy measured cell must not fail the deterministic model gate.
-    Autotuner ``tuned|`` cells are likewise excluded unless
-    ``gate_tuned`` — a re-tuned search may legitimately land on a
-    different (named) schedule, and an absent or renamed discovery must
-    not read as a kernel regression.  Serving-latency ``serve|`` cells
-    (loadtest percentiles) are excluded unless ``gate_serve``, for the
-    same measured-on-a-shared-runner reason as ``wall|``.
-
-    Returns ``(regressions, info)`` where ``info`` carries the baseline
-    size for reporting; with fewer than one baseline sample there is
-    nothing to compare and the result is empty.
+    Returns ``(regressions, info)``; ``info["cells"]`` counts the cells
+    the candidate shares with the history, i.e. the cells actually
+    compared.  Zero compared cells against a non-empty history means the
+    candidate gates nothing, which callers must treat as an error rather
+    than as "no regressions".  With no baseline sample there is nothing
+    to compare and the result is empty.
     """
     samples = list(trajectory.get("samples", []))
     if candidate is None:
@@ -264,29 +234,18 @@ def compare_trajectory(
         if not history:
             return [], {"baseline_samples": 0, "cells": 0}
     baseline: dict[str, float] = {}
-    wall_cells = 0
     for sample in history:
         for cell, ms in sample.get("cells", {}).items():
-            if cell.startswith(WALL_CELL_PREFIX):
-                wall_cells += 1
-                if not gate_wall:
-                    continue
-            if cell.startswith(TUNED_CELL_PREFIX) and not gate_tuned:
-                continue
-            if cell.startswith(SERVE_CELL_PREFIX) and not gate_serve:
-                continue
             ms = float(ms)
             if cell not in baseline or ms < baseline[cell]:
                 baseline[cell] = ms
-    regressions = compare_cells(baseline, candidate.get("cells", {}), threshold)
+    current = candidate.get("cells", {})
+    regressions = compare_cells(baseline, current, threshold)
     info = {
         "baseline_samples": len(history),
-        "cells": len(baseline),
+        "cells": sum(1 for cell in current if cell in baseline),
         "candidate_sha": candidate.get("git_sha", "unknown"),
         "threshold": threshold,
-        "gate_wall": gate_wall,
-        "gate_tuned": gate_tuned,
-        "gate_serve": gate_serve,
     }
     return regressions, info
 

@@ -13,8 +13,8 @@ every modeled ARM CPU.  The result is one trajectory cell per
 plus ``zoo|<pipeline>|<baseline>|<machine>`` cells for pipelines with
 registered external baselines (Harris: Halide, OpenCV, Lift).  Zoo
 cells ride into ``BENCH_trajectory.json`` through the same sample
-mechanism as the fig. 8 grid, and — being deterministic cost-model
-outputs — are gated by the regression comparison by default.
+mechanism as the fig. 8 grid and, like them, are deterministic
+cost-model outputs gated by the regression comparison.
 
 The module also hosts the CI ``zoo-smoke``: compile every registered
 pipeline on every available backend under one schedule and validate
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.bench.regress import ZOO_CELL_PREFIX
 from repro.engine import Engine, default_engine
 from repro.perf.cost import CostReport, estimate_runtime_ms
 from repro.perf.machines import ALL_MACHINES, Machine
@@ -49,11 +50,6 @@ __all__ = [
     "format_zoo",
     "format_smoke",
 ]
-
-#: Prefix of zoo trajectory cells.  Unlike ``wall|``/``tuned|``/``serve|``
-#: these are deterministic cost-model outputs, so the regression gate
-#: treats them like the fig. 8 cells (gated by default).
-ZOO_CELL_PREFIX = "zoo|"
 
 #: Zoo scheduling granularity.  Smaller than the paper's chunk=32 so the
 #: registry's minimal legal sizes stay small and the probe stays fast;
@@ -93,7 +89,7 @@ class ZooCell:
     @property
     def key(self) -> str:
         """Trajectory cell name: ``zoo|<pipeline>|<schedule>|<machine>``."""
-        return f"zoo|{self.pipeline}|{self.schedule}|{self.machine}"
+        return f"{ZOO_CELL_PREFIX}{self.pipeline}|{self.schedule}|{self.machine}"
 
 
 def _baseline_request(baseline: str, chunk: int, vec: int) -> tuple[str, dict, str]:
@@ -378,7 +374,7 @@ def _main() -> None:
         )
         sample = collect_sample(
             k=args.k,
-            wall=cells,
+            cells=cells,
             extra={"zoo": {"chunk": args.chunk, "vec": args.vec, "strip": args.strip}},
         )
         path = args.trajectory or DEFAULT_TRAJECTORY

@@ -54,7 +54,6 @@ __all__ = [
     "body",
     "function",
     "argument",
-    "RewriteTrace",
     "StrategyError",
 ]
 
@@ -527,38 +526,3 @@ def argument(strategy: Strategy) -> Strategy:
 
     wrapper = Strategy(run, f"argument({strategy.name})")
     return wrapper
-
-
-class RewriteTrace:
-    """Compatibility shim over :class:`repro.observe.trace.TraceCollector`.
-
-    Historically this class recorded top-level strategy successes into
-    ``steps``; it still does, but wrapped strategies now also run under
-    the ``repro.observe`` tracing layer, so the shim additionally exposes
-    per-rule events, counters and a top-K summary via :attr:`collector`.
-    Prefer ``with repro.observe.tracing() as t:`` in new code.
-    """
-
-    def __init__(self) -> None:
-        from repro.observe.trace import TraceCollector
-
-        self.steps: list[tuple[str, Expr, Expr]] = []
-        self.collector = TraceCollector()
-
-    def wrap(self, strategy: Strategy) -> Strategy:
-        """Wrap a strategy so its successful applications append
-        ``(name, before, after)`` to :attr:`steps` and its full call tree
-        reports into :attr:`collector`."""
-        from repro.observe.trace import tracing
-
-        def run(expr: Expr) -> RewriteResult:
-            if _TRACE.get() is self.collector:
-                result = strategy(expr)
-            else:
-                with tracing(self.collector):
-                    result = strategy(expr)
-            if isinstance(result, Success) and result.expr is not expr:
-                self.steps.append((strategy.name, expr, result.expr))
-            return result
-
-        return Strategy(run, strategy.name)

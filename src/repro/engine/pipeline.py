@@ -1,9 +1,7 @@
 """The unified compile front door: ``repro.compile(...)`` -> :class:`CompiledPipeline`.
 
-One entry point replaces the five differently-shaped ones that grew with
-the reproduction (``codegen.compile_program``, ``compile_harris_halide``
-/ ``_opencv`` / ``_lift``, ``exec.run_program``, ``exec.cbridge.
-run_program_c``).  It accepts a :class:`~repro.engine.request.
+One entry point compiles and runs every program of the reproduction.
+It accepts a :class:`~repro.engine.request.
 CompileRequest` — the typed request object the serving layer speaks —
 or the equivalent keywords, over three kinds of source:
 

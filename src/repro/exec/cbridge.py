@@ -8,10 +8,9 @@ The shared-library lifecycle is explicit: :func:`compile_c_library`
 builds a ``.so`` (into a caller-supplied directory — normally the
 engine's artifact store — or a tempdir owned by the returned handle) and
 :class:`CLibrary` owns both the loaded ``ctypes.CDLL`` and the backing
-file, unloading and deleting them in :meth:`CLibrary.close`.  The legacy
-:func:`run_program_c` (which recompiled into a fresh tempdir on every
-call) is retired: it raises with a pointer at :func:`repro.compile`,
-which reuses one cached library per compiled program.
+file, unloading and deleting them in :meth:`CLibrary.close`.  Programs
+reach it through :func:`repro.compile`, which reuses one cached library
+per compiled program.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ __all__ = [
     "compile_c_library",
     "load_c_library",
     "execute_with_library",
-    "run_program_c",
 ]
 
 DEFAULT_CFLAGS = ("-O2",)
@@ -367,23 +365,3 @@ def execute_with_library(
         produced[fn.output.name] = result
     assert result is not None
     return result
-
-
-def run_program_c(
-    prog: ImpProgram,
-    sizes: Mapping[str, int],
-    inputs: Mapping[str, np.ndarray],
-    extra_flags: tuple[str, ...] = DEFAULT_CFLAGS,
-) -> np.ndarray:
-    """Removed: compile through the engine front door instead.
-
-    This pre-engine entry point spent two releases as a
-    ``DeprecationWarning`` shim and is now retired; calling it raises
-    with the migration below — the engine caches the compiled library
-    per program instead of rebuilding into a fresh tempdir per call.
-    """
-    raise RuntimeError(
-        "run_program_c was removed; migrate to the engine front door:\n"
-        "    repro.compile(prog, backend='c', sizes=sizes,"
-        " cflags=tuple(extra_flags)).run(**inputs)"
-    )

@@ -49,7 +49,6 @@ from repro.codegen.ir import (
 
 __all__ = [
     "execute_program",
-    "run_program",
     "program_to_python",
     "function_to_python_strips",
     "strippable_parallel_loop",
@@ -425,22 +424,3 @@ def execute_program(
             produced[fn.output.name] = result
     assert result is not None
     return result
-
-
-def run_program(
-    prog: ImpProgram,
-    sizes: Mapping[str, int],
-    inputs: Mapping[str, np.ndarray],
-    intermediates: Mapping[str, tuple] | None = None,
-) -> np.ndarray:
-    """Removed: compile through the engine front door instead.
-
-    This pre-engine entry point spent two releases as a
-    ``DeprecationWarning`` shim and is now retired; calling it raises
-    with the migration below, because silently keeping a second compile
-    path would bypass the cache, coalescing and request validation.
-    """
-    raise RuntimeError(
-        "run_program was removed; migrate to the engine front door:\n"
-        "    repro.compile(prog, sizes=sizes).run(**inputs)"
-    )

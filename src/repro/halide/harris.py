@@ -23,7 +23,7 @@ from repro.halide.hir import Func, HVar, ImageParam
 from repro.halide.lower import compile_halide
 from repro.image.reference import GRAY_WEIGHTS, HARRIS_KAPPA, SOBEL_X, SOBEL_Y
 
-__all__ = ["build_harris_funcs", "build_harris_halide_program", "compile_harris_halide"]
+__all__ = ["build_harris_funcs", "build_harris_halide_program"]
 
 
 def build_harris_funcs(vec: int = 4, split: int = 32):
@@ -106,18 +106,4 @@ def build_harris_halide_program(vec: int = 4, split: int = 32) -> ImpProgram:
         n,
         m,
         name="halide_harris",
-    )
-
-
-def compile_harris_halide(vec: int = 4, split: int = 32) -> ImpProgram:
-    """Removed: compile through the engine front door instead.
-
-    This pre-engine entry point spent two releases as a
-    ``DeprecationWarning`` shim and is now retired; calling it raises
-    with the migration below.
-    """
-    raise RuntimeError(
-        "compile_harris_halide was removed; migrate to the engine front door:\n"
-        "    repro.compile('harris-halide',"
-        " options={'vec': vec, 'split': split}).program"
     )

@@ -10,14 +10,6 @@ along lines — with every intermediate materialized in a full-size global
 buffer, and one OpenCL launch per kernel.
 """
 
-from repro.lift.compile import (
-    build_harris_lift_program,
-    compile_harris_lift,
-    compile_pipeline_per_operator,
-)
+from repro.lift.compile import build_harris_lift_program, compile_pipeline_per_operator
 
-__all__ = [
-    "build_harris_lift_program",
-    "compile_harris_lift",
-    "compile_pipeline_per_operator",
-]
+__all__ = ["build_harris_lift_program", "compile_pipeline_per_operator"]

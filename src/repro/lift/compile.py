@@ -17,7 +17,6 @@ from repro.strategies.harris import simplify, vectorize_reductions
 __all__ = [
     "compile_pipeline_per_operator",
     "build_harris_lift_program",
-    "compile_harris_lift",
 ]
 
 
@@ -101,17 +100,4 @@ def build_harris_lift_program(vec: int = 4) -> ImpProgram:
     rgb = Identifier("rgb")
     return compile_pipeline_per_operator(
         harris(rgb), {"rgb": harris_input_type()}, name="lift_harris", vec=vec
-    )
-
-
-def compile_harris_lift(vec: int = 4) -> ImpProgram:
-    """Removed: compile through the engine front door instead.
-
-    This pre-engine entry point spent two releases as a
-    ``DeprecationWarning`` shim and is now retired; calling it raises
-    with the migration below.
-    """
-    raise RuntimeError(
-        "compile_harris_lift was removed; migrate to the engine front door:\n"
-        "    repro.compile('harris-lift', options={'vec': vec}).program"
     )

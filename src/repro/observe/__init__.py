@@ -24,10 +24,7 @@ execution when disabled):
   and event recorded while serving one request);
 * :mod:`repro.observe.events` — the structured JSONL event log
   (``repro.observe.events/v1``): a ring-buffered flight recorder plus an
-  optional rotating file sink for serve/engine decision events;
-* :mod:`repro.observe.slo` — service-level objectives over the serve
-  metrics: availability/latency targets, error-budget burn rates, and
-  the ``--gate-slo`` CI gate.
+  optional rotating file sink for serve/engine decision events.
 """
 
 from repro.observe.context import (
@@ -56,14 +53,6 @@ from repro.observe.events import (
     read_events,
     request_timeline,
     reset_event_log,
-)
-from repro.observe.slo import (
-    DEFAULT_OBJECTIVES,
-    Objective,
-    SLO_SCHEMA,
-    evaluate_slo,
-    gate_slo,
-    record_slo_gauges,
 )
 from repro.observe.metrics import (
     Counter,
@@ -145,10 +134,4 @@ __all__ = [
     "read_events",
     "request_timeline",
     "reset_event_log",
-    "SLO_SCHEMA",
-    "Objective",
-    "DEFAULT_OBJECTIVES",
-    "evaluate_slo",
-    "gate_slo",
-    "record_slo_gauges",
 ]

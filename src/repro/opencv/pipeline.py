@@ -47,7 +47,7 @@ from repro.codegen.opt import cse_program, fold_program
 from repro.codegen.views import idx_add, idx_mul, nat_expr
 from repro.image.reference import GRAY_WEIGHTS, HARRIS_KAPPA, SOBEL_X, SOBEL_Y
 
-__all__ = ["build_harris_opencv_program", "compile_harris_opencv"]
+__all__ = ["build_harris_opencv_program"]
 
 _PAD = 8
 
@@ -358,16 +358,3 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
 
     with compile_profile(prog.name):
         return cse_program(fold_program(prog))
-
-
-def compile_harris_opencv(vec: int = 4) -> ImpProgram:
-    """Removed: compile through the engine front door instead.
-
-    This pre-engine entry point spent two releases as a
-    ``DeprecationWarning`` shim and is now retired; calling it raises
-    with the migration below.
-    """
-    raise RuntimeError(
-        "compile_harris_opencv was removed; migrate to the engine front door:\n"
-        "    repro.compile('harris-opencv', options={'vec': vec}).program"
-    )

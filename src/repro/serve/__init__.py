@@ -25,20 +25,16 @@ This package adds the traffic-facing pieces:
   library (the Harris schedule variants across backends) into a shared
   artifact store, so serving never pays JIT latency — the Halide
   deployment posture ("AOT is generally preferred... commonly used for
-  mobile platforms");
-* :mod:`repro.serve.loadtest` — a mixed cold/warm traffic generator
-  measuring p50/p99 compile and run latencies and appending ``serve|``
-  cells to the benchmark trajectory ledger.
+  mobile platforms").
 
-CLIs: ``tools/aot.py`` (prebuild at install time) and
-``tools/loadtest.py`` (hammer a server; optionally gate on the ledger).
+CLI: ``tools/aot.py`` (prebuild at install time).  Measured serving
+latency lives in ``benchmarks/e2e`` (the ``serve-mixed`` workload).
 """
 
 from repro.serve.aot import (
     AOT_MANIFEST, harris_kernel_requests, load_manifest, prebuild,
     zoo_kernel_requests,
 )
-from repro.serve.loadtest import LoadtestResult, run_loadtest
 from repro.serve.server import (
     BuildFailed, BuildTimeout, DeadlineExceeded, Server, ServerBusy, ServerError,
     builds_out_of_process,
@@ -57,6 +53,4 @@ __all__ = [
     "harris_kernel_requests",
     "zoo_kernel_requests",
     "AOT_MANIFEST",
-    "run_loadtest",
-    "LoadtestResult",
 ]

@@ -47,7 +47,7 @@ MANIFEST_SCHEMA = "repro.serve.aot/v1"
 #: Row-chunk size of the serving kernel grid.  Smaller than the bench
 #: default (32) on purpose: every schedule in the ladder then runs on
 #: any image whose inner height is a multiple of ``chunk * strip`` = 8,
-#: which the serving-path tests and the loadtest image satisfy.
+#: which the serving-path tests satisfy.
 DEFAULT_AOT_CHUNK = 4
 
 

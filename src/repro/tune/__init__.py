@@ -15,11 +15,10 @@ repo's existing subsystems rather than growing new machinery:
 * survivors are validated against the differential oracle
   (:mod:`repro.tune.verify`) before export;
 * winners become ordinary :class:`~repro.strategies.schedules.Schedule`
-  objects (:mod:`repro.tune.export`) and ``tuned|*`` cells in the
-  benchmark trajectory.
+  objects (:mod:`repro.tune.export`).
 
-Run it via ``tools/tune.py`` (resumable search logs, trajectory
-recording) or programmatically::
+Run it via ``tools/tune.py`` (resumable search logs) or
+programmatically::
 
     from repro.tune import TuneConfig, beam_search
     result = beam_search(harris(rgb), env, TuneConfig(beam=4, steps=6))
@@ -27,12 +26,10 @@ recording) or programmatically::
 """
 
 from repro.tune.export import (
-    TUNED_CELL_PREFIX,
     discovered_name,
     handwritten_costs,
     schedule_from_actions,
     size_multiples,
-    tuned_cells,
     wall_rank,
 )
 from repro.tune.search import (
@@ -52,7 +49,6 @@ from repro.tune.verify import make_inputs, verification_sizes, verify_schedule
 
 __all__ = [
     "SEARCH_LOG_SCHEMA",
-    "TUNED_CELL_PREFIX",
     "TuneConfig",
     "Candidate",
     "TuneResult",
@@ -64,7 +60,6 @@ __all__ = [
     "discovered_name",
     "schedule_from_actions",
     "size_multiples",
-    "tuned_cells",
     "handwritten_costs",
     "wall_rank",
     "verify_schedule",

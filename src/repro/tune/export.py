@@ -1,4 +1,4 @@
-"""Turning search results into replayable schedules and benchmark cells.
+"""Turning search results into replayable schedules.
 
 A search result is an action-name sequence.  This module makes it a
 first-class artifact:
@@ -8,10 +8,6 @@ first-class artifact:
   completion suffix) from recorded names, under a deterministic
   ``tuned-<digest>`` name, so a discovered schedule replays anywhere the
   hand-written ones do (``repro.compile(expr, strategy=sched, ...)``);
-* :func:`tuned_cells` — cost the discovered schedule on the fig. 8
-  machine x image grid as ``tuned|<name>|<machine>|<image>`` trajectory
-  cells (informational by default in the regression gate, like measured
-  ``wall|`` cells);
 * :func:`handwritten_costs` — the hand-written schedules' scores under
   the same objective, the bar a discovery must clear;
 * :func:`wall_rank` — optional measured ranking of finalists through
@@ -24,10 +20,7 @@ import hashlib
 import math
 from typing import Mapping, Sequence
 
-from repro.bench.regress import TUNED_CELL_PREFIX
 from repro.engine.pipeline import Engine
-from repro.image import PAPER_IMAGE_LARGE, PAPER_IMAGE_SMALL, ImageSpec
-from repro.perf.machines import ALL_MACHINES, Machine
 from repro.perf.objective import CostObjective
 from repro.rise.types import Type
 from repro.strategies.schedules import (
@@ -45,11 +38,9 @@ from repro.tune.space import (
 )
 
 __all__ = [
-    "TUNED_CELL_PREFIX",
     "discovered_name",
     "schedule_from_actions",
     "size_multiples",
-    "tuned_cells",
     "handwritten_costs",
     "wall_rank",
 ]
@@ -98,54 +89,6 @@ def size_multiples(
     return n_mult, m_mult
 
 
-def _padded(spec: ImageSpec, n_mult: int, m_mult: int) -> dict[str, int]:
-    n = max(n_mult, math.ceil((spec.height - 4) / n_mult) * n_mult)
-    m = max(m_mult, math.ceil((spec.width - 4) / m_mult) * m_mult)
-    return {"n": n, "m": m}
-
-
-def tuned_cells(
-    action_names: Sequence[str],
-    seed_expr,
-    type_env: Mapping[str, Type],
-    label: str | None = None,
-    machines: Sequence[Machine] | None = None,
-    images: Sequence[ImageSpec] | None = None,
-    engine: Engine | None = None,
-    runtime_kind: str = "opencl",
-) -> dict[str, float]:
-    """Cost a discovered schedule on the benchmark grid.
-
-    Returns ``"tuned|<label>|<machine>|<image>" -> modeled ms`` cells for
-    the trajectory ledger, one per (machine, paper image) pair, with
-    sizes padded to the schedule's own divisibility (the same rounding
-    option the fig. 8 grid applies for the hand schedules).
-    """
-    from repro.perf.cost import estimate_runtime_ms
-
-    machines = list(machines or ALL_MACHINES)
-    images = list(images or [PAPER_IMAGE_SMALL, PAPER_IMAGE_LARGE])
-    schedule = schedule_from_actions(action_names, type_env)
-    label = label or schedule.name
-    n_mult, m_mult = size_multiples(action_names, type_env)
-    eng = engine if engine is not None else Engine()
-    program = eng.compile(
-        seed_expr,
-        strategy=schedule,
-        type_env=dict(type_env),
-        name=label.replace("-", "_"),
-    ).program
-    cells: dict[str, float] = {}
-    for machine in machines:
-        for image in images:
-            sizes = _padded(image, n_mult, m_mult)
-            report = estimate_runtime_ms(program, sizes, machine, runtime_kind)
-            cells[f"{TUNED_CELL_PREFIX}{label}|{machine.name}|{image.name}"] = round(
-                report.runtime_ms, 6
-            )
-    return cells
-
-
 def handwritten_costs(
     seed_expr,
     type_env: Mapping[str, Type],
@@ -191,8 +134,7 @@ def wall_rank(
     Compiles each schedule once (C backend when a host compiler exists,
     Python otherwise) and batches ``repeats`` identical runs through
     :meth:`~repro.engine.pipeline.CompiledPipeline.run_batch`, taking the
-    min item latency — the same min-of-k convention as the wall-clock
-    bench grid.  Returns ``schedule name -> ms``, cheapest first.
+    min item latency (min-of-k).  Returns ``schedule name -> ms``, cheapest first.
     """
     from repro.exec.cbridge import have_c_compiler
 

@@ -13,9 +13,7 @@ Failures are shrunk (:mod:`repro.verify.shrink`) and serialized into a
 corpus directory; ``tests/verify/test_corpus.py`` replays every corpus
 case forever after.  Progress is reported through
 :mod:`repro.observe.metrics` (``verify.cases``, ``verify.failures``,
-``verify.shrink_steps``) and throughput can be appended to the
-``BENCH_trajectory.json`` ledger so verifier slowdowns are caught like
-any other performance regression.
+``verify.shrink_steps``, ``verify.cases_per_sec``).
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "case_seed",
     "run_fuzz",
     "replay_case",
-    "record_throughput",
 ]
 
 
@@ -313,26 +310,3 @@ def replay_case(case: dict) -> dict | None:
         return {"kind": "differential", "failures": [f.to_dict() for f in res.failures]}
     return {"kind": "unknown-case-kind", "value": case["kind"]}
 
-
-def record_throughput(trajectory_path, report: FuzzReport) -> None:
-    """Append the campaign's throughput to the bench regression ledger.
-
-    The cell value is **ms per fuzz case** (not cases/sec) so that
-    "bigger means slower" matches the ledger's regression semantics.
-    """
-    from repro.bench.regress import SAMPLE_SCHEMA, append_sample, git_sha
-
-    if report.cases == 0 or report.elapsed_s <= 0:
-        return
-    ms_per_case = 1e3 * report.elapsed_s / report.cases
-    sample = {
-        "schema": SAMPLE_SCHEMA,
-        "timestamp": round(time.time(), 3),
-        "git_sha": git_sha(),
-        "k": 1,
-        "environment": {"seed": report.seed, "iterations": report.cases},
-        "cells": {"verify|fuzz|ms_per_case": round(ms_per_case, 6)},
-        "metrics": {},
-        "fuzz": report.to_dict(),
-    }
-    append_sample(trajectory_path, sample)

@@ -1,6 +1,7 @@
 """Tests for rewrite tracing — the tooling for inspecting derivations."""
 
-from repro.elevate import RewriteTrace, apply_once
+from repro.elevate import Success, apply_once
+from repro.observe import tracing
 from repro.rise import Identifier
 from repro.rise.dsl import arr, dot
 from repro.rules.algorithmic import reduce_map_fusion
@@ -9,21 +10,21 @@ from repro.strategies.schedules import Schedule, cbuf_version
 
 class TestRewriteTrace:
     def test_records_successful_steps(self):
-        trace = RewriteTrace()
         prog = dot(arr([1, 2, 3]))(Identifier("xs"))
-        wrapped = trace.wrap(apply_once(reduce_map_fusion))
-        wrapped(prog)
-        assert len(trace.steps) == 1
-        name, before, after = trace.steps[0]
-        assert "reduceMapFusion" in name
-        assert before is prog
-        assert "reduceSeq" in repr(after)
+        with tracing() as t:
+            result = apply_once(reduce_map_fusion)(prog)
+        assert isinstance(result, Success)
+        assert "reduceSeq" in repr(result.expr)
+        fired = [e for e in t.events if e.succeeded]
+        assert len(fired) == 1
+        assert fired[0].rule == "reduceMapFusion"
+        assert t.rule_fired == {"reduceMapFusion": 1}
 
     def test_failed_steps_not_recorded(self):
-        trace = RewriteTrace()
-        wrapped = trace.wrap(apply_once(reduce_map_fusion))
-        wrapped(Identifier("xs"))
-        assert trace.steps == []
+        with tracing() as t:
+            apply_once(reduce_map_fusion)(Identifier("xs"))
+        assert not any(e.succeeded for e in t.events)
+        assert t.rule_fired == {}
 
     def test_schedule_derivation_steps(self):
         """apply_traced exposes the full listing-5 derivation: the program

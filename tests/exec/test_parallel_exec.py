@@ -1,5 +1,9 @@
-"""Python-backend parallel execution: thread resolution, strip dispatch,
-determinism, fallback accounting and the batch oversubscription policy."""
+"""Parallel execution: thread resolution, Python-backend strip dispatch,
+determinism, fallback accounting, the batch oversubscription policy and
+the C backend's multicore speedup."""
+
+import os
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from repro.image import reference, synthetic_rgb
 from repro.nat import nat
 from repro.pipelines import harris, harris_input_type
 from repro.rise import Identifier
-from repro.strategies import cbuf_version, naive_version
+from repro.strategies import cbuf_rrot_par_version, cbuf_version, naive_version
 
 SENV = {"rgb": harris_input_type()}
 
@@ -220,3 +224,35 @@ class TestBatchOversubscription:
         snap = fresh_metrics_registry.snapshot()
         # every item saw the batch scope: nested parallel loops serialized
         assert not any("exec.py.parallel.strips" in k for k in snap["counters"])
+
+
+@pytest.mark.requires_gcc
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4, reason="speedup check needs >= 4 CPU cores"
+)
+class TestSpeedupAcceptance:
+    def test_parallel_schedule_speeds_up_at_four_threads(self, fresh_engine):
+        """Acceptance: >= 1.3x wall speedup for cbuf+rot+par at 4 vs 1
+        threads with gcc + OpenMP (min of 3 runs at 516x516)."""
+        from repro.exec.cbridge import openmp_available
+
+        if not openmp_available():
+            pytest.skip("toolchain lacks OpenMP")
+        pipeline = fresh_engine.compile(
+            harris(Identifier("rgb")),
+            strategy=cbuf_rrot_par_version(SENV, chunk=4, vec=4, strip=2),
+            type_env=SENV,
+            backend="c",
+            sizes={"n": 512, "m": 512},
+        )
+        img = synthetic_rgb(516, 516, seed=7)
+
+        def min_ms(threads):
+            runs = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                pipeline.run(threads=threads, rgb=img)
+                runs.append(time.perf_counter() - t0)
+            return min(runs)
+
+        assert min_ms(1) / min_ms(4) >= 1.3

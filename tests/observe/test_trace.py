@@ -1,11 +1,10 @@
-"""Rewrite tracing: rule events, paths, repeat/normalize iteration counts,
-the runaway-repeat path, and the RewriteTrace compatibility shim."""
+"""Rewrite tracing: rule events, paths, repeat/normalize iteration counts
+and the runaway-repeat path."""
 
 import pytest
 
 import repro.elevate.core as elevate_core
 from repro.elevate import (
-    RewriteTrace,
     StrategyError,
     Success,
     apply_once,
@@ -17,7 +16,7 @@ from repro.elevate import (
 )
 from repro.observe import TraceCollector, trace_active, tracing
 from repro.rise import Identifier, Literal
-from repro.rise.dsl import arr, dot, fun, lit, map_
+from repro.rise.dsl import arr, fun, lit, map_
 
 xs = Identifier("xs")
 
@@ -155,26 +154,3 @@ class TestFailureCauses:
         failure = all_(increment_literal)(prog)
         assert failure.reason.startswith("child ")
         assert failure.deepest().reason == "pattern did not match"
-
-
-class TestRewriteTraceShim:
-    def test_steps_and_collector(self):
-        from repro.rules.algorithmic import reduce_map_fusion
-
-        trace = RewriteTrace()
-        prog = dot(arr([1, 2, 3]))(Identifier("ws"))
-        wrapped = trace.wrap(apply_once(reduce_map_fusion))
-        wrapped(prog)
-        assert len(trace.steps) == 1
-        name, before, after = trace.steps[0]
-        assert before is prog
-        # the shim now also exposes the rule-level trace
-        assert trace.collector.rule_fired.get("reduceMapFusion") == 1
-
-    def test_shim_nested_under_external_tracing(self):
-        trace = RewriteTrace()
-        wrapped = trace.wrap(apply_once(increment_literal))
-        with tracing(trace.collector):
-            wrapped(lit(0.0))
-        assert len(trace.steps) == 1
-        assert trace.collector.rule_fired["incrementLiteral"] == 1

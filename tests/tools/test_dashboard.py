@@ -1,4 +1,4 @@
-"""The static serving dashboard (``tools/dashboard.py``) renders offline."""
+"""The static benchmark dashboard (``tools/dashboard.py``) renders offline."""
 
 import json
 import subprocess
@@ -22,7 +22,7 @@ def _trajectory(samples):
     return {"schema": "repro.bench.trajectory/v1", "samples": samples}
 
 
-def _sample(cells, counters=None, histograms=None, sha="aaa1111"):
+def _sample(cells, counters=None, sha="aaa1111"):
     return {
         "schema": "repro.bench.sample/v1",
         "timestamp": 0.0,
@@ -33,7 +33,7 @@ def _sample(cells, counters=None, histograms=None, sha="aaa1111"):
         "metrics": {
             "counters": counters or {},
             "gauges": {},
-            "histograms": histograms or {},
+            "histograms": {},
         },
     }
 
@@ -48,19 +48,12 @@ class TestRender:
         _write_trajectory(
             traj,
             [
-                _sample({"A53|small|Halide": 100.0, "serve|p50|cold_jit_ms": 50.0}),
+                _sample({"A53|small|Halide": 100.0, "zoo|blur|cbuf|A53": 50.0}),
                 _sample(
-                    {"A53|small|Halide": 95.0, "serve|p50|cold_jit_ms": 48.0},
+                    {"A53|small|Halide": 95.0, "zoo|blur|cbuf|A53": 48.0},
                     counters={
-                        "serve.requests": 36,
                         "engine.cache.hits{tier=memory}": 20,
-                        "engine.compile.misses": 4,
-                    },
-                    histograms={
-                        "serve.compile_ms{family=warm}": {
-                            "count": 32, "min": 1.0, "p50": 2.0,
-                            "p90": 3.0, "p99": 4.0, "max": 5.0,
-                        }
+                        "engine.cache.misses": 4,
                     },
                     sha="bbb2222",
                 ),
@@ -74,10 +67,10 @@ class TestRender:
         assert "<script src" not in html
         assert "http://" not in html and "https://" not in html
         # the sections all rendered with real content
-        assert "serve-availability" in html
-        assert "serve-latency" in html
+        assert "Cache behaviour" in html
+        assert "83.33%" in html  # hit rate: 20 hits of 24 lookups
         assert "A53|small|Halide" in html
-        assert "serve|p50|cold_jit_ms" in html
+        assert "zoo|blur|cbuf|A53" in html
         assert "bbb2222" in html
 
     def test_explicit_metrics_snapshot_wins(self, tmp_path):
@@ -85,7 +78,10 @@ class TestRender:
         _write_trajectory(traj, [_sample({"c|x|y": 1.0})])
         snap = tmp_path / "metrics.json"
         snap.write_text(json.dumps({
-            "counters": {"serve.requests": 90, "serve.rejected": 10},
+            "counters": {
+                "engine.cache.hits{tier=disk}": 3,
+                "engine.cache.misses": 1,
+            },
             "gauges": {},
             "histograms": {},
         }))
@@ -95,8 +91,9 @@ class TestRender:
         )
         assert proc.returncode == 0, proc.stderr
         html = out.read_text(encoding="utf-8")
-        # burn > 1: the availability budget renders as exhausted
-        assert "exhausted" in html
+        # the snapshot's disk hits, not the (empty) embedded one, render
+        assert "0 / 3" in html
+        assert "75.00%" in html
 
     def test_custom_title(self, tmp_path):
         traj = tmp_path / "traj.json"

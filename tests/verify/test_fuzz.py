@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.verify.fuzz import FuzzConfig, case_seed, record_throughput, run_fuzz
+from repro.verify.fuzz import FuzzConfig, case_seed, run_fuzz
 
 
 class TestCampaign:
@@ -56,15 +56,3 @@ class TestFailurePath:
         assert doc["schema"] == "repro.verify.case/v1"
         assert doc["program_hash"] == failure["program_hash"]
 
-
-class TestThroughputLedger:
-    def test_record_throughput_appends_ms_per_case_cell(self, tmp_path):
-        from repro.bench.regress import load_trajectory
-
-        report = run_fuzz(FuzzConfig(seed=1, iterations=3, use_c=False))
-        path = tmp_path / "traj.json"
-        record_throughput(path, report)
-        doc = load_trajectory(path)
-        cells = doc["samples"][-1]["cells"]
-        assert "verify|fuzz|ms_per_case" in cells
-        assert cells["verify|fuzz|ms_per_case"] > 0

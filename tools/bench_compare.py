@@ -2,29 +2,25 @@
 """CI guard for benchmark regressions: compare against BENCH_trajectory.json.
 
 Loads a trajectory produced by ``python -m repro.bench.harness run_report``
-and checks the newest sample (or an explicit ``--candidate`` sample file)
-against the best previously recorded value of every fig. 8 cell.  A cell
-more than ``--threshold`` (relative, default 0.10 = 10%) slower than the
-historical minimum is a regression; the tool prints the offending cells
-and exits non-zero so CI fails.
+(or ``python -m repro.bench.zoo append``) and checks the newest sample (or
+an explicit ``--candidate`` sample file) against the best previously
+recorded value of every cell.  A cell more than ``--threshold``
+(relative, default 0.10 = 10%) slower than the historical minimum is a
+regression; the tool prints the offending cells and exits non-zero so CI
+fails.
 
 Robustness: each sample already stores *min-of-k* runtimes, and the
 baseline is the *minimum over history*, so a single slow machine or run
 can neither fabricate a regression in the baseline nor hide one in the
-candidate.
-
-``--gate-slo`` additionally evaluates the serving SLOs (see
-:mod:`repro.observe.slo`) against the newest trajectory sample that
-embeds serve metrics and fails when any objective's error-budget burn
-rate exceeds ``--slo-max-burn`` (default 1.0 = budget exhausted).
+candidate.  A candidate that shares no cell with the history gates
+nothing, so it is an error, not a pass.
 
 Exit codes: 0 no regressions (or not enough history to compare),
-1 regressions or SLO burn violations found, 2 usage / malformed-input
-errors.
+1 regressions found, 2 usage / malformed-input errors or a candidate
+with no cell in common with the history.
 
 Usage:  python tools/bench_compare.py [--trajectory BENCH_trajectory.json]
                                       [--threshold 0.10] [--candidate sample.json]
-                                      [--gate-slo] [--slo-max-burn 1.0]
                                       [--json]
 """
 
@@ -67,37 +63,6 @@ def main() -> int:
         "trajectory (default: the trajectory's newest sample vs the rest)",
     )
     parser.add_argument(
-        "--gate-wall",
-        action="store_true",
-        help="also gate measured wall| cells (informational by default: "
-        "wall clocks on shared CI runners are noisy)",
-    )
-    parser.add_argument(
-        "--gate-tuned",
-        action="store_true",
-        help="also gate autotuner tuned| cells (informational by default: "
-        "a re-tuned search may land on a different discovered schedule)",
-    )
-    parser.add_argument(
-        "--gate-serve",
-        action="store_true",
-        help="also gate serving-latency serve| cells (informational by "
-        "default: loadtest percentiles are measured wall clocks)",
-    )
-    parser.add_argument(
-        "--gate-slo",
-        action="store_true",
-        help="also gate serving SLO burn rates computed from the newest "
-        "sample's embedded serve metrics (see repro.observe.slo)",
-    )
-    parser.add_argument(
-        "--slo-max-burn",
-        type=float,
-        default=1.0,
-        help="highest acceptable error-budget burn rate with --gate-slo "
-        "(default: %(default)s = budget spent exactly at the objective rate)",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON output"
     )
     args = parser.parse_args()
@@ -118,42 +83,22 @@ def main() -> int:
         return 2
 
     regressions, info = compare_trajectory(
-        trajectory,
-        candidate=candidate,
-        threshold=args.threshold,
-        gate_wall=args.gate_wall,
-        gate_tuned=args.gate_tuned,
-        gate_serve=args.gate_serve,
+        trajectory, candidate=candidate, threshold=args.threshold
     )
-    slo_violations: list[dict] = []
-    slo_info: dict = {}
-    if args.gate_slo:
-        from repro.observe.slo import gate_slo
-
-        slo_violations, slo_info = gate_slo(trajectory, max_burn=args.slo_max_burn)
+    if info["baseline_samples"] and not info["cells"]:
+        print(
+            f"bench_compare: candidate {info['candidate_sha']} shares no cell "
+            f"with the {info['baseline_samples']} baseline sample(s); "
+            "nothing was compared",
+            file=sys.stderr,
+        )
+        return 2
     if args.json:
         doc = {"info": info, "regressions": [r.to_dict() for r in regressions]}
-        if args.gate_slo:
-            doc["slo"] = {"info": slo_info, "violations": slo_violations}
         print(json.dumps(doc, indent=2))
     else:
         print(format_regressions(regressions, info))
-        if args.gate_slo:
-            if slo_info.get("sample_sha") is None:
-                print("slo gate: no serve metrics in the trajectory (skipped)")
-            elif not slo_violations:
-                print(
-                    f"slo gate: all burn rates <= {args.slo_max_burn} "
-                    f"(sample {slo_info['sample_sha']})"
-                )
-            for v in slo_violations:
-                print(
-                    f"slo gate: BURN VIOLATION {v['name']}: burn "
-                    f"{v['burn_rate']:.3f} > {args.slo_max_burn} "
-                    f"(error rate {v['error_rate']:.4f}, target {v['target']})",
-                    file=sys.stderr,
-                )
-    return 1 if (regressions or slo_violations) else 0
+    return 1 if regressions else 0
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ CHECKED_PACKAGES = (
     REPO_ROOT / "tools" / "dashboard.py",
     REPO_ROOT / "tools" / "events.py",
     REPO_ROOT / "tools" / "bench_compare.py",
-    REPO_ROOT / "tools" / "loadtest.py",
 )
 
 

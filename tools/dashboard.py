@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render a static HTML serving dashboard from the JSON telemetry files.
+"""Render a static HTML dashboard from the benchmark ledger and metrics.
 
 Zero dependencies, zero network: the input is ``BENCH_trajectory.json``
 (plus, optionally, a metrics snapshot JSON) and the output is one
@@ -9,14 +9,10 @@ and opening offline.
 
 Sections rendered:
 
-* **SLO budgets** — every objective of :mod:`repro.observe.slo`
-  evaluated against the serve metrics, with error-budget burn bars;
-* **Serving percentiles** — the ``serve|`` cells of the newest loadtest
-  sample (cold-JIT vs warm-compile vs AOT-warm-run families);
 * **Cache behaviour** — hit/miss/coalesce/eviction counters and derived
   rates from the metrics snapshot;
 * **Trajectory ledger** — per-cell history sparklines (min over history
-  vs newest) for the modeled, measured, tuned and serving cells.
+  vs newest) for every cell of the ledger.
 
 The metrics snapshot defaults to the newest trajectory sample that
 embeds one; ``--metrics FILE`` points at an explicit snapshot JSON
@@ -73,19 +69,6 @@ def _sparkline(values: list[float], width: int = 120, height: int = 24) -> str:
     )
 
 
-def _burn_bar(burn: float, width: int = 160) -> str:
-    """A budget bar: green under burn 1, red beyond."""
-    frac = max(0.0, min(burn, 2.0)) / 2.0
-    color = "#59a14f" if burn <= 1.0 else "#e45756"
-    return (
-        f'<div class="bar" style="width:{width}px">'
-        f'<div class="fill" style="width:{round(frac * width)}px;'
-        f'background:{color}"></div>'
-        f'<div class="mark" style="left:{width // 2}px"></div>'
-        "</div>"
-    )
-
-
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     """A plain HTML table from pre-escaped cell fragments."""
     head = "".join(f"<th>{h}</th>" for h in headers)
@@ -107,82 +90,45 @@ th, td { text-align: left; padding: .3rem .6rem; border-bottom: 1px solid #e2e2e
 th { background: #f4f4f8; font-weight: 600; }
 code { background: #f4f4f8; padding: .05rem .3rem; border-radius: 3px; }
 .meta { color: #6b6b7b; font-size: .85rem; }
-.ok { color: #59a14f; font-weight: 600; } .bad { color: #e45756; font-weight: 600; }
-.bar { position: relative; height: 12px; background: #eceff4;
-       border-radius: 6px; display: inline-block; vertical-align: middle; }
-.fill { height: 12px; border-radius: 6px; }
-.mark { position: absolute; top: -2px; width: 2px; height: 16px; background: #1a1a2e; }
+.bad { color: #e45756; font-weight: 600; }
 .spark { vertical-align: middle; }
 """
+
+
+# -- metrics snapshot helpers ------------------------------------------------
+
+
+def parse_metric_key(key: str) -> tuple[str, dict[str, str]]:
+    """Split a snapshot key ``name{k=v,...}`` into ``(name, labels)``."""
+    if "{" not in key:
+        return key, {}
+    name, _, rest = key.partition("{")
+    labels: dict[str, str] = {}
+    for part in rest.rstrip("}").split(","):
+        if not part:
+            continue
+        k, _, v = part.partition("=")
+        labels[k] = v
+    return name, labels
+
+
+def counter_total(snapshot: dict, name: str, **label_filter: str) -> float:
+    """Sum all counter series named ``name`` whose labels match the filter."""
+    total = 0.0
+    for key, value in (snapshot.get("counters") or {}).items():
+        base, labels = parse_metric_key(key)
+        if base != name:
+            continue
+        if all(labels.get(k) == str(v) for k, v in label_filter.items()):
+            total += float(value)
+    return total
 
 
 # -- section renderers -------------------------------------------------------
 
 
-def render_slo_section(snapshot: dict) -> str:
-    """The SLO budget table for one metrics snapshot."""
-    from repro.observe.slo import evaluate_slo
-
-    evaluation = evaluate_slo(snapshot)
-    rows = []
-    for obj in evaluation["objectives"]:
-        status = (
-            '<span class="ok">within budget</span>'
-            if obj["burn_rate"] <= 1.0
-            else '<span class="bad">budget exhausted</span>'
-        )
-        threshold = (
-            f"&lt; {obj['threshold_ms'] / 1e3:g}s" if obj["threshold_ms"] else "—"
-        )
-        rows.append(
-            [
-                f"<b>{_esc(obj['name'])}</b><br>"
-                f'<span class="meta">{_esc(obj["description"])}</span>',
-                _esc(obj["kind"]),
-                f"{obj['target']:.2%}",
-                threshold,
-                f"{int(obj['total'])}",
-                f"{obj['error_rate']:.4f}",
-                f"{obj['burn_rate']:.3f} {_burn_bar(obj['burn_rate'])}",
-                status,
-            ]
-        )
-    return "<h2>SLO budgets</h2>" + _table(
-        ["objective", "kind", "target", "threshold", "events", "error rate",
-         "burn rate (mark = 1.0)", "status"],
-        rows,
-    )
-
-
-def render_serve_section(samples: list[dict]) -> str:
-    """Serving percentile cells from the newest serve-bearing sample."""
-    for sample in reversed(samples):
-        serve_cells = {
-            cell: ms
-            for cell, ms in (sample.get("cells") or {}).items()
-            if cell.startswith("serve|")
-        }
-        if serve_cells:
-            rows = [
-                [f"<code>{_esc(cell)}</code>", f"{float(ms):,.3f}"]
-                for cell, ms in sorted(serve_cells.items())
-            ]
-            note = (
-                f'<p class="meta">newest loadtest sample '
-                f"(git <code>{_esc(sample.get('git_sha', 'unknown'))}</code>)</p>"
-            )
-            return (
-                "<h2>Serving percentiles</h2>"
-                + note
-                + _table(["cell", "latency (ms)"], rows)
-            )
-    return "<h2>Serving percentiles</h2><p class='meta'>no serve| cells recorded</p>"
-
-
 def render_cache_section(snapshot: dict) -> str:
     """Cache hit/coalesce/eviction counters and derived rates."""
-    from repro.observe.slo import counter_total
-
     hits_mem = counter_total(snapshot, "engine.cache.hits", tier="memory")
     hits_disk = counter_total(snapshot, "engine.cache.hits", tier="disk")
     misses = counter_total(snapshot, "engine.cache.misses")
@@ -252,8 +198,6 @@ def render_dashboard(trajectory: dict, snapshot: dict, title: str) -> str:
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
         f"<title>{_esc(title)}</title><style>{_CSS}</style></head><body>"
         + header
-        + render_slo_section(snapshot)
-        + render_serve_section(samples)
         + render_cache_section(snapshot)
         + render_trajectory_section(samples)
         + "</body></html>"
@@ -289,7 +233,7 @@ def main() -> int:
         "--out", default="dashboard.html", help="output HTML path (default: %(default)s)"
     )
     parser.add_argument(
-        "--title", default="repro serving dashboard", help="page title"
+        "--title", default="repro benchmark dashboard", help="page title"
     )
     args = parser.parse_args()
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Query a structured event log (``repro.observe.events/v1`` JSONL).
 
-Reads an event file produced by ``tools/loadtest.py --events-out``, a
-sink configured via :meth:`repro.observe.events.EventLog.open_sink`, or
-a flight-recorder dump, and answers the debugging questions the raw
+Reads an event file produced by a sink configured via
+:meth:`repro.observe.events.EventLog.open_sink` or a flight-recorder
+dump (:meth:`repro.observe.events.EventLog.dump_jsonl`), and answers the debugging questions the raw
 JSONL makes tedious:
 
 * filter by request (``--request``), cache key (``--key``) or outcome

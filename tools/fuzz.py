@@ -79,11 +79,6 @@ def _parse_args(argv=None) -> argparse.Namespace:
         help="skip the C backend even when a compiler is available",
     )
     parser.add_argument(
-        "--trajectory",
-        default=None,
-        help="append fuzz throughput (ms/case) to this BENCH trajectory ledger",
-    )
-    parser.add_argument(
         "--json", action="store_true", help="emit the report as JSON on stdout"
     )
     return parser.parse_args(argv)
@@ -122,7 +117,7 @@ def main(argv=None) -> int:
     if args.replay:
         return _replay(args.replay, args.json)
 
-    from repro.verify.fuzz import FuzzConfig, record_throughput, run_fuzz
+    from repro.verify.fuzz import FuzzConfig, run_fuzz
 
     cfg = FuzzConfig(
         seed=args.seed,
@@ -136,8 +131,6 @@ def main(argv=None) -> int:
         zoo_pipelines=tuple(args.zoo_pipelines) if args.zoo_pipelines else None,
     )
     report = run_fuzz(cfg)
-    if args.trajectory:
-        record_throughput(args.trajectory, report)
     doc = report.to_dict()
     if args.json:
         print(json.dumps(doc, indent=2))

@@ -4,9 +4,11 @@
 Runs the cost-guided beam search of ``repro.tune`` over the paper's
 optimization vocabulary on one pipeline from the registry
 (``--pipeline``, default the Harris case study), verifies the cheapest survivors against the
-differential oracle (naive schedule as reference), compares the winner
-with the hand-written listing 5/9 schedules under the same objective,
-and records the discovery as ``tuned|*`` cells in the benchmark
+differential oracle (naive schedule as reference), and compares the
+winner with the hand-written listing 5/9 schedules under the same
+objective.  The winner's modeled cost is printed (and, in the
+``tune-search`` benchmark workload, reported as the per-layer metric
+``tune.best_cost_ms.<pipeline>``); nothing is written to the benchmark
 trajectory ledger.
 
 The search log (``--log``, default ``TUNE_log.json``) is written after
@@ -19,14 +21,13 @@ Exit codes: 0 a schedule was discovered and oracle-verified,
 
 Usage:  python tools/tune.py --seed 0 --beam 4 --steps 6
         python tools/tune.py --pipeline gaussian-blur --beam 2 --steps 2
-        python tools/tune.py --beam 2 --steps 2 --no-trajectory   # smoke
+        python tools/tune.py --beam 2 --steps 2                   # smoke
         python tools/tune.py --resume --log TUNE_log.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -75,29 +76,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="also wall-clock-rank the verified winner against cbuf+rot "
         "through the batch runner (measured, machine-dependent)",
     )
-    parser.add_argument(
-        "--trajectory",
-        default="BENCH_trajectory.json",
-        help="trajectory ledger to append the tuned| cells to "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not append a trajectory sample (smoke / CI runs)",
-    )
     return parser
 
 
 def main() -> int:
-    """Search, verify, compare with the hand schedules, record the result."""
+    """Search, verify and compare with the hand schedules."""
     args = build_parser().parse_args()
     if args.beam < 1 or args.steps < 1 or args.top < 1:
         print("tune: --beam, --steps and --top must be >= 1", file=sys.stderr)
         return 2
 
-    from repro.bench.regress import SAMPLE_SCHEMA, append_sample, git_sha
-    from repro.observe.metrics import registry as metrics_registry
     from repro.perf.objective import CostObjective, objective_for
     from repro.pipelines import registry
     from repro.tune import (
@@ -105,7 +93,6 @@ def main() -> int:
         beam_search,
         handwritten_costs,
         schedule_from_actions,
-        tuned_cells,
         verification_sizes,
         make_inputs,
         verify_schedule,
@@ -154,7 +141,6 @@ def main() -> int:
     # Oracle-verify the cheapest survivors; the winner is the cheapest
     # candidate whose outputs match the naive schedule bit-for-tolerance.
     winner = None
-    verdicts = []
     for cand in result.frontier[: args.top]:
         if not cand.actions:
             continue
@@ -163,7 +149,6 @@ def main() -> int:
         verdict = verify_schedule(
             seed_expr, sched, type_env, sizes=sizes, seed=args.seed
         )
-        verdicts.append({"actions": list(cand.actions), **verdict})
         status = "ok" if verdict["ok"] else "FAILED"
         print(f"verify[{sched.name}] sizes={sizes}: {status}")
         if verdict["ok"] and winner is None:
@@ -204,35 +189,6 @@ def main() -> int:
         for name, ms in ranked.items():
             print(f"  {name:<24} {ms:10.3f}")
 
-    if not args.no_trajectory:
-        label = sched.name if spec.name == "harris" else f"{spec.name}:{sched.name}"
-        cells = tuned_cells(winner.actions, seed_expr, type_env, label=label)
-        sample = {
-            "schema": SAMPLE_SCHEMA,
-            "timestamp": round(time.time(), 3),
-            "git_sha": git_sha(),
-            "k": 1,
-            "environment": {
-                "tool": "tune",
-                "pipeline": spec.name,
-                "seed": args.seed,
-                "beam": args.beam,
-                "steps": args.steps,
-                "objective": objective.identity,
-            },
-            "cells": cells,
-            "metrics": metrics_registry().snapshot(),
-            "tune": {
-                "best": winner.to_dict(),
-                "handwritten_ms": {k: round(v, 6) for k, v in hand.items()},
-                "stats": {
-                    k: v for k, v in result.stats.items() if isinstance(v, int)
-                },
-                "verified": verdicts,
-            },
-        }
-        append_sample(args.trajectory, sample)
-        print(f"appended {len(cells)} tuned| cells to {args.trajectory}")
     return 0
 
 
