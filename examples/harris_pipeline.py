@@ -11,9 +11,10 @@ Run:  python examples/harris_pipeline.py
 
 With ``--trace``, every rewrite is observed: each schedule prints its
 step-by-step derivation (the paper's listing 5-9 view) with node counts
-and a most-fired-rules summary, compiles under the phase profiler, and a
-JSON run report (derivation stats, per-phase codegen timings, PSNR) is
-written to ``--report`` (default: harris_report.json).
+and a most-fired-rules summary, compiles and runs under an observer, and
+a JSON run report (derivation stats, per-phase codegen timings from the
+observer's spans, PSNR) is written to ``--report`` (default:
+harris_report.json).
 
 With ``--trace-out FILE``, the executed kernels (and a parallel batch
 run over the synthetic image) are additionally exported as Chrome
@@ -33,10 +34,10 @@ from repro.observe import (
     Observer,
     RunReport,
     TraceCollector,
+    compile_profiles,
     derivation_stats,
     format_derivation,
     observing,
-    profiling,
     save_trace,
     tracing,
 )
@@ -83,12 +84,12 @@ def main(
 
     report = RunReport(name="harris-pipeline-example")
     report.environment = {"chunk": 4, "vec": 4, "n": n, "m": m, "seed": 11}
-    profiles = None
 
     outputs = {}
     for label, schedule in schedules.items():
         if trace:
-            # Observed run: derivation steps + rule trace + compile profile.
+            # Observed run: derivation steps + rule trace, then compile and
+            # run under one observer whose codegen spans are the profile.
             collector = TraceCollector()
             with tracing(collector):
                 steps = schedule.apply_traced(program)
@@ -97,20 +98,16 @@ def main(
                   f"({label.split()[0]}) ===")
             print(format_derivation(steps, collector))
             report.derivation[schedule.name] = derivation_stats(steps, collector)
-            from repro.observe import ProfileCollector
-
-            profiles = profiles or ProfileCollector()
-            with profiling(profiles):
+            with observing() as obs:
                 pipeline = repro.compile(
                     low,
                     type_env=senv,
                     name=schedule.name.replace("-", "_"),
                     sizes={"n": n, "m": m},
                 )
-            with observing() as obs:
                 out = pipeline.run(rgb=img).reshape(n, m)
+            report.compile.extend(compile_profiles(obs))
             report.execution[schedule.name] = {
-                "counters": dict(sorted(obs.counters.items())),
                 "kernel_ms": [
                     round(s.duration_ms, 3)
                     for s in obs.flat_spans()
@@ -170,7 +167,6 @@ def main(
         }
 
     if trace:
-        report.compile = profiles.to_dict() if profiles is not None else []
         report.engine = {
             "schema": ENGINE_REPORT_SCHEMA,
             "cache": default_engine().stats(),

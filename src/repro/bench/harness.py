@@ -193,14 +193,15 @@ def run_report(
     RISE schedules (rule-application counts, repeat/normalize iteration
     counts), per-phase compile profiles for every implementation, the
     engine section (cold/warm compile-cache accounting plus a parallel
-    batch run over ``batch_items`` inputs), execution counters/kernel
-    timings from the Python backend, the PSNR validation rows of section
-    V-A and a snapshot of the process-wide metrics registry (reset at
-    the start of the run so the snapshot covers exactly this run).
+    batch run over ``batch_items`` inputs), the executed kernels and
+    their timings on the Python backend, the PSNR validation rows of
+    section V-A and a snapshot of the process-wide metrics registry
+    (reset at the start of the run so the snapshot covers exactly this
+    run; execution counts live there).
 
-    With ``trace_out``, the batch-and-validate execution phase is
-    additionally exported as Chrome trace-event JSON (Perfetto-loadable;
-    batch workers appear as separate thread tracks).
+    With ``trace_out``, the run's span tree (compile phases, batch,
+    validation) is additionally exported as Chrome trace-event JSON
+    (Perfetto-loadable; batch workers appear as separate thread tracks).
     """
     from repro.bench.validation import validate_outputs
     from repro.engine import ENGINE_REPORT_SCHEMA
@@ -208,10 +209,10 @@ def run_report(
         Observer,
         RunReport,
         TraceCollector,
+        compile_profiles,
         derivation_stats,
         metrics_registry,
         observing,
-        profiling,
         reset_registry,
         save_trace,
         tracing,
@@ -238,42 +239,38 @@ def run_report(
             steps = schedule.apply_traced(high)
         report.derivation[schedule.name] = derivation_stats(steps, collector)
 
-    # A fresh, empty engine so the profile shows a genuinely cold compile.
-    eng = Engine()
-    with profiling() as profiles:
-        compile_all.__wrapped__(chunk, vec, eng)
-    report.compile = profiles.to_dict()
-
-    # Warm pass: every implementation must now be served from the cache.
-    compile_all.__wrapped__(chunk, vec, eng)
-    n, m = height - 4, width - 4
-    pipeline = eng.compile(
-        high,
-        strategy=rrot(senv, chunk=chunk, vec=vec),
-        type_env=senv,
-        name="rise_cbuf_rrot",
-        sizes={"n": n, "m": m},
-    )
     from repro.image import synthetic_rgb
 
-    # One observer spans the whole execution phase (batch + validation),
-    # so worker counters/spans land in the report and the Chrome trace.
+    # One observer spans the whole run, so compile phases and worker spans
+    # land in the report and the Chrome trace.  A fresh, empty engine
+    # makes the compile profile a genuinely cold compile.
+    eng = Engine()
     obs = Observer()
     with observing(obs):
+        compile_all.__wrapped__(chunk, vec, eng)
+        report.compile = compile_profiles(obs)
+
+        # Warm pass: every implementation must now be served from the cache.
+        compile_all.__wrapped__(chunk, vec, eng)
+        n, m = height - 4, width - 4
+        pipeline = eng.compile(
+            high,
+            strategy=rrot(senv, chunk=chunk, vec=vec),
+            type_env=senv,
+            name="rise_cbuf_rrot",
+            sizes={"n": n, "m": m},
+        )
         batch = pipeline.run_batch(
             [{"rgb": synthetic_rgb(height, width, seed=seed + i)} for i in range(batch_items)],
             workers=batch_workers,
         )
-    report.engine = {
-        "schema": ENGINE_REPORT_SCHEMA,
-        "cache": eng.stats(),
-        "batch": batch.to_dict(),
-    }
-
-    with observing(obs):
+        report.engine = {
+            "schema": ENGINE_REPORT_SCHEMA,
+            "cache": eng.stats(),
+            "batch": batch.to_dict(),
+        }
         rows = validate_outputs(height=height, width=width, chunk=chunk, vec=vec, seed=seed)
     report.execution = {
-        "counters": dict(sorted(obs.counters.items())),
         "kernels": [
             {"name": s.name, "wall_ms": round(s.duration_ms, 3), **s.meta}
             for s in obs.flat_spans()
@@ -328,7 +325,7 @@ def _main() -> None:
     * ``run_report`` — one observed compile-and-validate run: writes the
       JSON run report, appends a min-of-k sample of modeled cells to the
       benchmark trajectory (``BENCH_trajectory.json``; disable with
-      ``--no-trajectory``), and optionally exports the execution phase as
+      ``--no-trajectory``), and optionally exports the run's spans as
       Chrome trace JSON (``--trace-out``);
     * ``fig8`` — print the paper's fig. 8 runtime grid.
     """
@@ -367,7 +364,7 @@ def _main() -> None:
     parser.add_argument(
         "--trace-out",
         default=None,
-        help="also export the execution phase as Chrome trace-event JSON",
+        help="also export the run's spans as Chrome trace-event JSON",
     )
     parser.add_argument(
         "--no-zoo",

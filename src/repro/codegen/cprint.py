@@ -358,18 +358,16 @@ def function_to_c(fn: ImpFunction) -> str:
 def program_to_c(prog: ImpProgram) -> str:
     """The complete C translation unit for a compiled program.
 
-    Profiled as the ``cprint`` phase of the program's compile profile
-    when :func:`repro.observe.profiling` is active.
+    Opens one ``codegen.print`` span (``program=``, ``chars=``).
     """
-    from repro.observe.profile import compile_profile, phase, profile_active
+    from repro.observe.core import active, span
 
-    with compile_profile(prog.name):
-        with phase("cprint") as meta:
-            parts = [_PRELUDE.format()]
-            parts.extend(_vector_defs(w) for w in _vector_widths(prog))
-            for fn in prog.functions:
-                parts.append(function_to_c(fn))
-            out = "\n\n".join(parts) + "\n"
-            if profile_active() is not None:
-                meta["chars"] = len(out)
-            return out
+    with span("codegen.print", program=prog.name) as print_span:
+        parts = [_PRELUDE.format()]
+        parts.extend(_vector_defs(w) for w in _vector_widths(prog))
+        for fn in prog.functions:
+            parts.append(function_to_c(fn))
+        out = "\n\n".join(parts) + "\n"
+        if active() is not None:
+            print_span.meta["chars"] = len(out)
+        return out

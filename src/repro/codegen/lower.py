@@ -1331,24 +1331,25 @@ def compile_program(
     Free identifiers become input buffers (per scalar leaf); the program's
     result becomes the output buffer.  Sizes stay symbolic.
 
-    When :func:`repro.observe.profiling` is active, each compile records a
-    per-phase profile (``typecheck``, ``lower`` with nested ``vectorize``,
-    ``fold``, ``cse``) with wall times and node-count deltas under the
-    program's name.
+    Opens one ``codegen.lower`` span (``program=``, ``rise_nodes=``) with
+    the phases ``rise.typecheck``, ``codegen.emit`` (nested
+    ``codegen.vectorize``), ``codegen.fold`` and ``codegen.cse`` below
+    it — node counts are computed only while an observer is active.
     """
-    from repro.observe.profile import compile_profile, phase
+    from repro.observe.core import active, span
     from repro.rise.traverse import count_nodes as count_rise_nodes
     from repro.codegen.ir import count_ir_nodes
 
-    with compile_profile(name) as profile:
-        if profile is not None:
-            profile.meta["rise_nodes"] = count_rise_nodes(program)
+    with span("codegen.lower", program=name) as lower_span:
+        observed = active() is not None
+        if observed:
+            lower_span.meta["rise_nodes"] = count_rise_nodes(program)
 
-        with phase("typecheck"):
+        with span("rise.typecheck"):
             typing = infer_types(program, type_env, strict=False)
         ctx = Ctx(typing)
 
-        with phase("lower") as lower_meta:
+        with span("codegen.emit") as emit_span:
             env: dict[str, View] = {}
             inputs: list[Buffer] = []
             for ident, itype in type_env.items():
@@ -1395,8 +1396,8 @@ def compile_program(
             )
             program_out.vector_fallbacks = ctx.vector_fallbacks  # type: ignore[attr-defined]
             program_out.size_constraints = typing.pending_sizes  # type: ignore[attr-defined]
-            if profile is not None:
-                lower_meta["ir_nodes"] = count_ir_nodes(program_out)
+            if observed:
+                emit_span.meta["ir_nodes"] = count_ir_nodes(program_out)
 
         from repro.codegen.opt import cse_program, fold_program
 

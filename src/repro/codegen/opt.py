@@ -135,10 +135,10 @@ def _fold_stmt(s: Stmt) -> Stmt:
 
 def fold_program(prog: ImpProgram) -> ImpProgram:
     """Return a copy of the program with constant-folded expressions."""
-    from repro.observe.profile import phase, profile_active
+    from repro.observe.core import active, span
     from repro.codegen.ir import count_ir_nodes
 
-    with phase("fold") as meta:
+    with span("codegen.fold") as fold_span:
         functions = [
             ImpFunction(
                 name=fn.name,
@@ -158,9 +158,9 @@ def fold_program(prog: ImpProgram) -> ImpProgram:
         )
         out.vector_fallbacks = getattr(prog, "vector_fallbacks", [])
         out.size_constraints = getattr(prog, "size_constraints", [])
-        if profile_active() is not None:
-            meta["nodes_in"] = count_ir_nodes(prog)
-            meta["nodes_out"] = count_ir_nodes(out)
+        if active() is not None:
+            fold_span.meta["nodes_in"] = count_ir_nodes(prog)
+            fold_span.meta["nodes_out"] = count_ir_nodes(out)
         return out
 
 
@@ -371,10 +371,10 @@ def _rebuild_expr(e: IExpr, kids: list[IExpr]) -> IExpr:
 
 def cse_program(prog: ImpProgram) -> ImpProgram:
     """Apply block-level CSE to every kernel."""
-    from repro.observe.profile import phase, profile_active
+    from repro.observe.core import active, span
     from repro.codegen.ir import count_ir_nodes
 
-    with phase("cse") as meta:
+    with span("codegen.cse") as cse_span:
         state = _CseState()
         functions = [
             ImpFunction(
@@ -395,7 +395,7 @@ def cse_program(prog: ImpProgram) -> ImpProgram:
         )
         out.vector_fallbacks = getattr(prog, "vector_fallbacks", [])
         out.size_constraints = getattr(prog, "size_constraints", [])
-        if profile_active() is not None:
-            meta["nodes_in"] = count_ir_nodes(prog)
-            meta["nodes_out"] = count_ir_nodes(out)
+        if active() is not None:
+            cse_span.meta["nodes_in"] = count_ir_nodes(prog)
+            cse_span.meta["nodes_out"] = count_ir_nodes(out)
         return out

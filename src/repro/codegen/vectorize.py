@@ -120,9 +120,9 @@ def vectorize_stmts(
     Returns vectorized (statements, expressions); raises VectorizeError on
     any unvectorizable construct.
     """
-    from repro.observe.profile import phase
+    from repro.observe.core import span
 
-    with phase("vectorize"):
+    with span("codegen.vectorize"):
         ctx = _VecCtx(xi, base, width, set(), is_width_multiple)
         out_stmts: list[Stmt] = []
         for stmt in stmts:

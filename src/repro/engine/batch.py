@@ -21,11 +21,11 @@ Observability: thread-pool work items are submitted through
 ``contextvars.copy_context()``, so the active :class:`~repro.observe.
 core.Observer` *and* the open ``engine.batch`` span propagate into the
 workers — each item records its own ``engine.batch.item`` span (with the
-worker's thread id) and counter.  Process-pool workers run in another
-interpreter; their measured wall times are aggregated back into the
-parent observer as pre-timed spans, so the count of ``engine.batch.item``
-events always equals the batch size regardless of pool flavor.  Item
-latencies and batch throughput also land in the process-wide metrics
+worker's thread id).  Process-pool workers run in another interpreter;
+their measured wall times are aggregated back into the parent observer
+as pre-timed spans, so the number of ``engine.batch.item`` spans always
+equals the batch size regardless of pool flavor.  Item counts,
+latencies and batch throughput land in the process-wide metrics
 registry (``engine.batch.*``, see :mod:`repro.observe.metrics`).
 """
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.codegen.ir import ImpProgram
 from repro.observe.context import ensure_request
-from repro.observe.core import Span, active, count, span
+from repro.observe.core import Span, active, span
 from repro.observe.metrics import inc, observe_value, set_gauge
 
 __all__ = ["BatchResult", "BatchRunner", "DEFAULT_MAX_WORKERS"]
@@ -152,8 +152,6 @@ class BatchRunner:
         ):
             outputs, item_ms, mode, workers = self._execute(items, sizes, mode, workers)
         total_ms = (time.perf_counter() - start) * 1e3
-        count("engine.batch.runs")
-        count("engine.batch.items", len(items))
         result = BatchResult(
             outputs=outputs,
             item_wall_ms=item_ms,
@@ -192,7 +190,6 @@ class BatchRunner:
             t0 = time.perf_counter()
             with span("engine.batch.item", index=index, mode="sequential"):
                 outputs.append(self.pipeline.run(sizes=sizes, **inputs))
-            count("engine.batch.item")
             item_ms.append((time.perf_counter() - t0) * 1e3)
         return outputs, item_ms, "sequential", 1
 
@@ -201,11 +198,10 @@ class BatchRunner:
         futures = [pool.submit(_run_item_python, prog, dict(sizes), item) for item in items]
         results = [f.result() for f in futures]
         obs = active()
-        for index, (_, ms) in enumerate(results):
-            # The worker lives in another process: re-materialize its
-            # measured wall time as a pre-timed span on the parent.
-            count("engine.batch.item")
-            if obs is not None:
+        if obs is not None:
+            # The workers live in another process: re-materialize their
+            # measured wall times as pre-timed spans on the parent.
+            for index, (_, ms) in enumerate(results):
                 obs.attach(
                     Span(
                         "engine.batch.item",
@@ -227,12 +223,10 @@ class BatchRunner:
                 "engine.batch.item", index=index, mode="thread"
             ):
                 out = self.pipeline.run(sizes=sizes, **inputs)
-            count("engine.batch.item")
             return out, (time.perf_counter() - t0) * 1e3
 
         # copy_context() per item carries the active observer and the
-        # open engine.batch span into the pool thread (satellite fix for
-        # the silent drop of engine.batch.* counters in workers).
+        # open engine.batch span into the pool thread.
         futures = [
             pool.submit(contextvars.copy_context().run, one, index, inputs)
             for index, inputs in enumerate(items)

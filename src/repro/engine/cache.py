@@ -56,7 +56,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
 from repro.codegen.ir import ImpProgram
-from repro.observe.core import count, span
+from repro.observe.core import span
 from repro.observe.events import emit
 from repro.observe.metrics import inc, set_gauge
 
@@ -249,7 +249,6 @@ class ArtifactStore:
         finally:
             if staging.is_dir():
                 shutil.rmtree(staging, ignore_errors=True)
-        count("engine.cache.disk_bytes", artifact_bytes)
         inc("engine.cache.disk_bytes", artifact_bytes)
         self.enforce_limits(keep=entry.key)
         return meta
@@ -327,7 +326,6 @@ class ArtifactStore:
             doomed = tmp_root / f"{key}.{os.getpid()}.evict.{uuid.uuid4().hex[:8]}"
             os.replace(adir, doomed)
         shutil.rmtree(doomed, ignore_errors=True)
-        count("engine.cache.evictions")
         inc("engine.cache.evictions", tier="disk")
         emit("engine.cache.evict", key=key, tier="disk")
         return True
@@ -437,8 +435,6 @@ class EngineCache:
             if entry is not None:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
-                count("engine.cache.hit")
-                count("engine.cache.hit_memory")
                 inc("engine.cache.hits", tier="memory")
                 return entry, "memory"
         if self.store is not None:
@@ -448,14 +444,11 @@ class EngineCache:
                 with self._lock:
                     self._remember(key, entry)
                     self.stats.disk_hits += 1
-                count("engine.cache.hit")
-                count("engine.cache.hit_disk")
                 inc("engine.cache.hits", tier="disk")
                 return entry, "disk"
         if count_miss:
             with self._lock:
                 self.stats.misses += 1
-            count("engine.cache.miss")
             inc("engine.cache.misses")
         return None, None
 
@@ -478,7 +471,6 @@ class EngineCache:
             library = evicted.library
             if library is not None and hasattr(library, "close"):
                 library.close()
-            count("engine.cache.evictions")
             inc("engine.cache.evictions", tier="memory")
             emit("engine.cache.evict", key=evicted_key, tier="memory")
         set_gauge("engine.cache.memory_entries", len(self._memory))

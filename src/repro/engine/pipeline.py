@@ -48,7 +48,7 @@ from repro.engine.hashing import (
 )
 from repro.engine.request import CompileRequest
 from repro.observe.context import ensure_request
-from repro.observe.core import count, current_span, span
+from repro.observe.core import current_span, span
 from repro.observe.events import emit
 from repro.observe.metrics import inc, observe_value, set_gauge
 from repro.rise.expr import Expr
@@ -233,7 +233,6 @@ class CompiledPipeline:
             backend=self.backend,
             threads=nthreads,
         ):
-            count("engine.runs")
             if self.backend == "c":
                 from repro.exec.cbridge import execute_with_library
 
@@ -501,7 +500,6 @@ class Engine:
                     flight.leader_request_id = lead_span.request_id
         if not leader:
             flight.done.wait()
-            count("engine.compile.coalesced")
             inc("engine.compile.coalesced")
             follower_span = current_span()
             if follower_span is not None and flight.leader_span_id:
@@ -528,7 +526,6 @@ class Engine:
                         f"artifact under key {key[:12]} in the store"
                     )
             if status == "miss":
-                count("engine.compiles")
                 inc("engine.compiles", backend=request.backend)
             flight.entry, flight.status = entry, status
             return entry, status
@@ -607,9 +604,9 @@ class Engine:
     def _build_program(self, request: CompileRequest) -> ImpProgram:
         """Lower one request's source into an :class:`ImpProgram`.
 
-        The rewrite and lowering phases open their own spans
-        (``engine.rewrite``, ``backend.lower``) so a cold compile's span
-        tree shows where the time went per backend phase.
+        Each layer opens its own span (``elevate.rewrite`` here,
+        ``codegen.lower`` in :func:`~repro.codegen.lower.compile_program`)
+        so a cold compile's span tree shows where the time went.
         """
         source, strategy = request.source, request.strategy
         if isinstance(source, ImpProgram):
@@ -625,13 +622,12 @@ class Engine:
                 return builder(**dict(request.options or {}))
         program = source
         if strategy is not None:
-            with span("engine.rewrite", strategy=strategy_identity(strategy)):
+            with span("elevate.rewrite", strategy=strategy_identity(strategy)):
                 program = strategy.apply(program)
         from repro.codegen.lower import compile_program
 
         name = request.name or "pipeline"
-        with span("backend.lower", backend=request.backend, program=name):
-            return compile_program(program, dict(request.type_env or {}), name)
+        return compile_program(program, dict(request.type_env or {}), name)
 
     def _attach_library(self, entry: CacheEntry, cflags: tuple[str, ...]) -> None:
         from repro.codegen.cprint import program_to_c
@@ -639,11 +635,10 @@ class Engine:
 
         if not have_c_compiler():
             raise RuntimeError("backend='c' requires a host C compiler (gcc/cc)")
-        with span("backend.cbuild", backend="c", cflags=" ".join(cflags)):
-            entry.c_source = program_to_c(entry.program)
-            entry.library = compile_c_library(
-                entry.program, extra_flags=tuple(cflags), source=entry.c_source
-            )
+        entry.c_source = program_to_c(entry.program)
+        entry.library = compile_c_library(
+            entry.program, extra_flags=tuple(cflags), source=entry.c_source
+        )
 
     def library_for(self, entry: CacheEntry):
         """The live C library for ``entry``, loading or building on demand.

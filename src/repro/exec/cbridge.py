@@ -30,7 +30,7 @@ import numpy as np
 from repro.codegen.cprint import _collect_size_vars, program_to_c
 from repro.codegen.ir import ImpProgram
 from repro.codegen.sizes import resolve_sizes
-from repro.observe.core import count, span
+from repro.observe.core import span
 from repro.observe.metrics import inc, observe_value
 
 __all__ = [
@@ -246,14 +246,13 @@ def compile_c_library(
         "-lm",
     ]
     t0 = time.perf_counter()
-    with span("engine.cbuild", program=prog.name):
+    with span("exec.gcc", program=prog.name):
         try:
             _run_compiler(cmd, prog.name)
         except CCompileError:
             if owned is not None:
                 shutil.rmtree(owned, ignore_errors=True)
             raise
-        count("engine.cbuild")
     inc("engine.cbuild")
     observe_value("engine.cbuild_ms", (time.perf_counter() - t0) * 1e3)
     return CLibrary(so_path, ctypes.CDLL(str(so_path)), owned_dir=owned)
@@ -357,7 +356,6 @@ def execute_with_library(
         ):
             cfn(*call_args)
         kernel_ms = (time.perf_counter() - t0) * 1e3
-        count("exec.c.kernels")
         inc("exec.c.kernels", kernel=fn.name)
         observe_value("exec.c.kernel_ms", kernel_ms, kernel=fn.name)
         result = out[:out_size]

@@ -313,13 +313,14 @@ def execute_program(
     Returns the final output buffer (flat, unpadded length).
 
     When :func:`repro.observe.observing` is active, each kernel records a
-    ``run:<name>`` span (with codegen/exec sub-spans and static op counts
-    from :func:`repro.codegen.ir.op_histogram`) and execution counters.
+    ``run:<name>`` span with codegen/exec sub-spans; its meta carries the
+    generated source size and the static op counts (``ops.<kind>``) of
+    :func:`repro.codegen.ir.op_histogram`.
     """
     from repro.codegen.lower import BUFFER_PAD
     from repro.codegen.sizes import resolve_sizes
     from repro.exec.parallel import effective_threads
-    from repro.observe.core import active, count, span
+    from repro.observe.core import active, span
     from repro.observe.metrics import inc, observe_value
 
     sizes = resolve_sizes(prog, sizes)
@@ -352,7 +353,7 @@ def execute_program(
     result: np.ndarray | None = None
     for fn in prog.functions:
         with span(f"run:{fn.name}", program=prog.name) as kernel_span:
-            count("exec.kernels")
+            inc("exec.kernels", kernel=fn.name)
             par_loops = count_parallel_loops(fn)
             strip_loop = strippable_parallel_loop(fn) if par_loops else None
             extent = _loop_extent(strip_loop, sizes) if strip_loop is not None else 0
@@ -418,7 +419,7 @@ def execute_program(
                 kernel_span.meta["source_lines"] = source.count("\n") + 1
                 kernel_span.meta["output_elems"] = out_size
                 for key, value in op_histogram(fn).items():
-                    count(f"ops.{key}", value)
+                    kernel_span.meta[f"ops.{key}"] = value
             result = out[:out_size]
             produced[fn.name] = result
             produced[fn.output.name] = result

@@ -295,14 +295,14 @@ def compile_halide(
     """Lower a scheduled pipeline to a single-kernel imperative program.
 
     ``inputs`` maps image names to (param, rows, cols).  ``n``/``m`` are
-    the (symbolic) output sizes.  Records a compile profile (``lower`` /
-    ``vectorize`` / ``fold`` / ``cse`` phases) under ``name`` when
-    :func:`repro.observe.profiling` is active.
+    the (symbolic) output sizes.  Opens one ``codegen.lower`` span
+    (``program=name``) over the ``codegen.emit`` / ``codegen.fold`` /
+    ``codegen.cse`` phases.
     """
-    from repro.observe.profile import compile_profile, phase
+    from repro.observe.core import span
 
-    with compile_profile(name):
-        with phase("lower"):
+    with span("codegen.lower", program=name):
+        with span("codegen.emit"):
             prog = _lower_halide(output, inputs, n, m, name)
         return cse_program(fold_program(prog))
 

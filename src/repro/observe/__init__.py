@@ -1,19 +1,20 @@
-"""Observability: rewrite tracing, compile-phase profiling, run reports.
+"""Observability: rewrite tracing, layer spans, run reports.
 
 The paper's thesis is that optimizations are *inspectable, user-defined
 rewrite sequences*; this package is the inspection half of that claim.
-It provides four cooperating layers, all off by default and activated
-with context managers (zero behavioural effect on rewriting, codegen or
-execution when disabled):
+Two switches, both off by default and scoped with context managers
+(zero behavioural effect on rewriting, codegen or execution when
+disabled), activate its recorders:
 
-* :mod:`repro.observe.core` — generic timed spans and counters
-  (:func:`observing`, :func:`span`, :func:`count`);
+* :mod:`repro.observe.core` — the one span record: every layer (rewrite,
+  codegen phases, C print, gcc, kernel runs, engine, serve) opens a
+  timed span (:func:`observing`, :func:`span`);
 * :mod:`repro.observe.trace` — per-rule rewrite tracing threaded through
   ``Strategy.__call__`` (:func:`tracing`, :class:`TraceCollector`);
-* :mod:`repro.observe.profile` — per-phase codegen timers and node-count
-  deltas (:func:`profiling`, :func:`phase`, :func:`compile_profile`);
 * :mod:`repro.observe.report` / :mod:`repro.observe.derivation` — the
-  JSON run report and the paper-style derivation pretty-printer;
+  JSON run report, its per-program compile profile (a view over the
+  span tree, :func:`compile_profiles`) and the paper-style derivation
+  pretty-printer;
 * :mod:`repro.observe.metrics` — the always-on process-wide metrics
   registry (counters, gauges, quantile histograms) with JSON and
   Prometheus exporters (:func:`metrics_registry`, :func:`inc`, ...);
@@ -40,7 +41,6 @@ from repro.observe.core import (
     Observer,
     Span,
     active,
-    count,
     current_span,
     observing,
     span,
@@ -72,38 +72,22 @@ from repro.observe.traceevent import (
     validate_chrome_trace,
 )
 from repro.observe.derivation import derivation_stats, format_derivation
-from repro.observe.profile import (
-    CompileProfile,
-    PhaseStat,
-    ProfileCollector,
-    compile_profile,
-    phase,
-    profile_active,
-    profiling,
-)
-from repro.observe.report import SCHEMA, RunReport
+from repro.observe.report import SCHEMA, RunReport, compile_profiles
 from repro.observe.trace import RuleEvent, TraceCollector, trace_active, tracing
 
 __all__ = [
     "Observer",
     "Span",
     "active",
-    "count",
     "observing",
     "span",
     "RuleEvent",
     "TraceCollector",
     "trace_active",
     "tracing",
-    "CompileProfile",
-    "PhaseStat",
-    "ProfileCollector",
-    "compile_profile",
-    "phase",
-    "profile_active",
-    "profiling",
     "SCHEMA",
     "RunReport",
+    "compile_profiles",
     "derivation_stats",
     "format_derivation",
     "Counter",

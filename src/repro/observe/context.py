@@ -24,7 +24,7 @@ Propagation is by construction, not by plumbing arguments around:
 Usage::
 
     with request_scope(request_id=req.request_id) as ctx:
-        ...   # every span()/count()/emit() here carries ctx.request_id
+        ...   # every span()/emit() here carries ctx.request_id
 
 :func:`ensure_request` is the idempotent variant used by library entry
 points (``Engine.compile_request``, ``CompiledPipeline.run``): it

@@ -1,16 +1,19 @@
-"""Spans and counters: the base layer of the observability subsystem.
+"""Spans: the one timing record of the observability subsystem.
 
-An :class:`Observer` collects a tree of timed *spans* and a flat table of
-named *counters*.  Activation is scoped with the :func:`observing` context
-manager; instrumented code calls the module-level :func:`span` and
-:func:`count` helpers, which are no-ops (one context-variable read) when
-no observer is active — so instrumentation can stay in hot paths
-permanently without a measurable cost when disabled.
+An :class:`Observer` collects a tree of timed *spans*.  Activation is
+scoped with the :func:`observing` context manager; instrumented code
+calls the module-level :func:`span` helper, a no-op (one
+context-variable read) when no observer is active — so instrumentation
+can stay in hot paths permanently without a measurable cost when
+disabled.  Every layer opens one span named after it (``elevate.rewrite``,
+``codegen.lower`` and its phases, ``codegen.print``, ``exec.gcc``, …);
+the compile profile of :func:`repro.observe.report.compile_profiles` and
+the Chrome trace are views of the same tree.  Counts live in the
+process-wide :mod:`repro.observe.metrics` registry, not here.
 
     with observing() as obs:
         with span("compile", program="harris"):
             ...
-            count("kernels")
     print(obs.render_text())
 
 Both the active observer *and* the current span position live in
@@ -19,7 +22,7 @@ construction: a thread pool that submits work through
 ``contextvars.copy_context()`` (as :class:`repro.engine.batch.
 BatchRunner` does) hands every worker the observer and the span it
 should attach under, each worker nests its own spans independently, and
-an instance lock serializes the actual tree/counter mutations.  Spans
+an instance lock serializes the actual tree mutations.  Spans
 record their start time (one shared monotonic clock) and recording
 thread id, which is what lets :mod:`repro.observe.traceevent` lay them
 out on a multi-thread timeline.
@@ -42,7 +45,6 @@ __all__ = [
     "observing",
     "active",
     "span",
-    "count",
     "current_span",
 ]
 
@@ -102,25 +104,19 @@ class Span:
 
 
 class Observer:
-    """Collects spans (nested) and counters (flat) for one observed region.
+    """Collects the span tree of one observed region.
 
-    Safe for concurrent recording: counter increments and span-tree
-    mutations are guarded by an instance lock, and the *position* in the
-    tree is context-local (see :data:`_CURRENT_SPAN`), so parallel
-    workers each extend their own branch.
+    Safe for concurrent recording: span-tree mutations are guarded by an
+    instance lock, and the *position* in the tree is context-local (see
+    :data:`_CURRENT_SPAN`), so parallel workers each extend their own
+    branch.
     """
 
     def __init__(self) -> None:
         self.spans: list[Span] = []
-        self.counters: dict[str, int] = {}
         self._lock = threading.Lock()
 
     # -- recording -------------------------------------------------------
-
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment the named counter by ``n`` (atomic under the lock)."""
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + n
 
     @contextmanager
     def span(self, name: str, **meta) -> Iterator[Span]:
@@ -182,14 +178,11 @@ class Observer:
         return out
 
     def to_dict(self) -> dict:
-        """JSON-ready representation of all spans and counters."""
-        return {
-            "spans": [s.to_dict() for s in self.spans],
-            "counters": dict(sorted(self.counters.items())),
-        }
+        """JSON-ready representation of all spans."""
+        return {"spans": [s.to_dict() for s in self.spans]}
 
     def render_text(self) -> str:
-        """Human-readable span tree plus the counter table."""
+        """Human-readable span tree."""
         lines: list[str] = []
 
         def visit(s: Span, depth: int) -> None:
@@ -204,10 +197,6 @@ class Observer:
 
         for s in self.spans:
             visit(s, 0)
-        if self.counters:
-            lines.append("counters:")
-            for name, value in sorted(self.counters.items()):
-                lines.append(f"  {name:<34} {value}")
         return "\n".join(lines)
 
 
@@ -261,10 +250,3 @@ def span(name: str, **meta):
     if obs is None:
         return _NULL_SPAN
     return obs.span(name, **meta)
-
-
-def count(name: str, n: int = 1) -> None:
-    """Module-level :meth:`Observer.count`; a no-op when inactive."""
-    obs = _OBSERVER.get()
-    if obs is not None:
-        obs.count(name, n)

@@ -56,6 +56,7 @@ __all__ = [
     "emit",
     "read_events",
     "is_failure",
+    "last_failures",
     "request_timeline",
 ]
 
@@ -78,6 +79,17 @@ def is_failure(record: Mapping) -> bool:
     """
     outcome = (record.get("attrs") or {}).get("outcome")
     return outcome is not None and outcome != "ok"
+
+
+def last_failures(records: Iterable[Mapping], n: int | None = None) -> list:
+    """The last ``n`` failure records of ``records`` (all when ``n`` is
+    None, none when it is 0); a negative ``n`` raises ``ValueError``."""
+    bad = [r for r in records if is_failure(r)]
+    if n is None:
+        return bad
+    if n < 0:
+        raise ValueError(f"failure count must be >= 0, got {n}")
+    return bad[max(len(bad) - n, 0) :]
 
 
 class EventLog:
@@ -214,8 +226,7 @@ class EventLog:
 
     def failures(self, n: int | None = None) -> list[dict]:
         """The last ``n`` failure records (all of them when ``n`` is None)."""
-        bad = [r for r in self.events() if is_failure(r)]
-        return bad if n is None else bad[-n:]
+        return last_failures(self.events(), n)
 
     def __len__(self) -> int:
         with self._lock:
@@ -315,7 +326,8 @@ def request_timeline(records: Iterable[Mapping], request_id: str) -> list[dict]:
 
 
 def _jsonable(value):
-    """Coerce one attr into a JSON-safe value."""
+    """Coerce one event attr (or span meta value, for
+    :mod:`repro.observe.traceevent`) into a JSON-safe value."""
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
     return str(value)

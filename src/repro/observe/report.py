@@ -2,23 +2,29 @@
 
 A :class:`RunReport` bundles everything the observability layer collects
 about one end-to-end run — derivation statistics, per-phase compile
-timings, execution counters and quality metrics — under a stable schema
+timings, executed kernels and quality metrics — under a stable schema
 (:data:`SCHEMA`), with JSON and text renderers.  The bench harness and
 ``examples/harris_pipeline.py --trace`` both emit it.
+
+The ``compile`` section is :func:`compile_profiles`, a read-only view
+over an :class:`~repro.observe.core.Observer`'s span tree.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
-__all__ = ["SCHEMA", "RunReport"]
+from repro.observe.core import Observer, Span
+
+__all__ = ["SCHEMA", "RunReport", "compile_profiles"]
 
 #: Schema identifier; bump the version when report keys change shape.
 #: v2 added the ``engine`` section (compile-cache and batch-execution
-#: statistics, itself schema-versioned as ``repro.engine.report/v1``).
-SCHEMA = "repro.observe.report/v2"
+#: statistics, itself schema-versioned as ``repro.engine.report/v1``);
+#: v3 dropped ``execution.counters`` (counts live in ``metrics.registry``).
+SCHEMA = "repro.observe.report/v3"
 
 #: The fixed top-level keys of every report, in serialization order.
 TOP_LEVEL_KEYS = (
@@ -41,11 +47,10 @@ class RunReport:
         environment: run parameters (image sizes, chunk/vec factors, …).
         derivation: per-schedule rewrite statistics
             (see :func:`repro.observe.derivation.derivation_stats`).
-        compile: per-program compile profiles
-            (see :class:`repro.observe.profile.ProfileCollector`).
+        compile: per-program compile profiles (see :func:`compile_profiles`).
         engine: compile-cache hit/miss accounting and batch-execution
             throughput from :mod:`repro.engine` (schema-versioned).
-        execution: executor counters and kernel timings.
+        execution: executed kernels and their timings.
         metrics: quality/performance numbers (PSNR, modeled runtimes).
     """
 
@@ -104,7 +109,7 @@ class RunReport:
                     if k not in ("name", "wall_ms", "calls")
                 )
                 lines.append(
-                    f"  {p['name']:<12} {p['wall_ms']:9.3f} ms  x{p['calls']:<4} {extra}"
+                    f"  {p['name']:<18} {p['wall_ms']:9.3f} ms  x{p['calls']:<4} {extra}"
                 )
         if self.engine:
             lines.append("engine:")
@@ -132,6 +137,55 @@ class RunReport:
             for key, value in self.metrics.items():
                 lines.append(f"  {key} = {value}")
         return "\n".join(lines)
+
+
+#: The spans that compile one program, keyed by their ``program=`` meta:
+#: ``codegen.lower`` (its descendants are the phases) and
+#: ``codegen.print`` (a phase of its own).
+PROGRAM_SPANS = ("codegen.lower", "codegen.print")
+
+
+def compile_profiles(observer: Observer) -> list[dict]:
+    """Per-program compile profiles: a view over ``observer``'s spans.
+
+    Each program's phases are the spans below its ``codegen.lower``
+    spans plus its ``codegen.print`` spans, summed by span name in
+    first-seen order (``calls`` counts repeats, e.g. one
+    ``codegen.vectorize`` per strip loop; nested phases double-count, as
+    ``codegen.vectorize`` runs inside ``codegen.emit``).  Returns
+    ``[{"program", **lower_meta, "phases": [{"name", "wall_ms",
+    "calls", **meta}]}]``.
+    """
+    profiles: dict[Any, tuple[dict, dict]] = {}
+
+    def add(table: dict, s: Span, meta: dict) -> None:
+        stat = table.setdefault(s.name, {"name": s.name, "wall_ms": 0.0, "calls": 0})
+        stat["wall_ms"] += s.duration_ms
+        stat["calls"] += 1
+        stat.update(meta)
+
+    def phases(s: Span) -> Iterator[Span]:
+        for child in s.children:
+            if child.name not in PROGRAM_SPANS:
+                yield child
+                yield from phases(child)
+
+    for s in observer.flat_spans():
+        if s.name not in PROGRAM_SPANS:
+            continue
+        program = s.meta.get("program")
+        head, table = profiles.setdefault(program, ({"program": program}, {}))
+        meta = {k: v for k, v in s.meta.items() if k != "program"}
+        if s.name == "codegen.print":
+            add(table, s, meta)
+            continue
+        head.update(meta)
+        for p in phases(s):
+            add(table, p, p.meta)
+    return [
+        {**head, "phases": [{**st, "wall_ms": round(st["wall_ms"], 3)} for st in table.values()]}
+        for head, table in profiles.values()
+    ]
 
 
 def _jsonable(value: Any):

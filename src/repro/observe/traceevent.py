@@ -27,6 +27,7 @@ import threading
 from pathlib import Path
 
 from repro.observe.core import Observer, Span
+from repro.observe.events import _jsonable
 
 __all__ = ["trace_events", "to_chrome_trace", "save_trace", "validate_chrome_trace"]
 
@@ -41,8 +42,6 @@ def trace_events(observer: Observer, pid: int | None = None) -> list[dict]:
     Emits one complete (``"ph": "X"``) event per span with ``ts``/``dur``
     in microseconds relative to the earliest recorded span, plus
     ``"M"`` metadata events naming the process and each thread track.
-    Counters are attached as one instant event so they survive into the
-    trace file.
     """
     pid = pid if pid is not None else os.getpid()
     spans = observer.flat_spans()
@@ -93,19 +92,6 @@ def trace_events(observer: Observer, pid: int | None = None) -> list[dict]:
         emit(root, None)
 
     events.extend(_metadata_events(events, pid))
-    if observer.counters:
-        end = max((e["ts"] + e["dur"] for e in events if e.get("ph") == "X"), default=0.0)
-        events.append(
-            {
-                "name": "counters",
-                "ph": "I",
-                "s": "g",
-                "ts": round(end, 3),
-                "pid": pid,
-                "tid": _main_tid(events),
-                "args": dict(sorted(observer.counters.items())),
-            }
-        )
     return events
 
 
@@ -139,15 +125,6 @@ def _metadata_events(events: list[dict], pid: int) -> list[dict]:
             }
         )
     return meta
-
-
-def _main_tid(events: list[dict]) -> int:
-    """The main thread's tid if it appears in the events, else the first."""
-    main_tid = threading.main_thread().ident
-    tids = {e["tid"] for e in events if e.get("ph") == "X"}
-    if main_tid in tids:
-        return main_tid
-    return min(tids) if tids else 0
 
 
 def to_chrome_trace(observer: Observer, pid: int | None = None) -> dict:
@@ -224,10 +201,3 @@ def validate_chrome_trace(doc) -> list[str]:
                 except (TypeError, ValueError):
                     problems.append(f"{where}: 'args' not JSON-serializable")
     return problems
-
-
-def _jsonable(value):
-    """Coerce span metadata into JSON-safe values."""
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)

@@ -354,7 +354,7 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
     )
     prog.size_constraints = []
     prog.vector_fallbacks = []
-    from repro.observe.profile import compile_profile
+    from repro.observe.core import span
 
-    with compile_profile(prog.name):
+    with span("codegen.lower", program=prog.name):
         return cse_program(fold_program(prog))

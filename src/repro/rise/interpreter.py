@@ -71,16 +71,8 @@ def _curry(prim: E.Primitive, arity: int, fn: Callable):
     return make(()) if arity > 0 else fn(prim)
 
 
-from repro.observe.core import active as _observe_active
-
-
 def evaluate(expr: E.Expr, env: Mapping[str, object] | None = None):
-    """Evaluate a RISE expression under an environment of free identifiers.
-
-    When :func:`repro.observe.observing` is active, every primitive
-    evaluation increments an ``interp.<Primitive>`` counter — the
-    interpreter op counts reported in run reports.
-    """
+    """Evaluate a RISE expression under an environment of free identifiers."""
     env = dict(env or {})
     return _eval(expr, env)
 
@@ -121,11 +113,6 @@ def _eval(expr: E.Expr, env: dict):
             raise EvalError(f"applying non-function value {fun!r}")
         return fun(arg)
     if isinstance(expr, E.Primitive):
-        # Report primitive-evaluation counts to the observability layer
-        # (one context-variable read when observation is off).
-        obs = _observe_active()
-        if obs is not None:
-            obs.count(f"interp.{type(expr).__name__}")
         arity, fn = _lookup(expr)
         return _curry(expr, arity, fn)
     raise EvalError(f"cannot evaluate {expr!r}")

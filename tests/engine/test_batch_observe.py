@@ -1,6 +1,8 @@
 """Concurrent observability: batch workers must not drop or corrupt
-spans/counters (the observer context propagates into pool threads, and
-process-pool timings aggregate back into the parent observer)."""
+spans or registry counts (the observer context propagates into pool
+threads, and process-pool timings aggregate back into the parent
+observer).  Exact concurrent counting on the registry itself is
+``tests/observe/test_metrics.py::TestThreadSafety``."""
 
 import threading
 
@@ -8,7 +10,7 @@ import pytest
 
 from repro.engine import Engine
 from repro.image import synthetic_rgb
-from repro.observe import Observer, observing
+from repro.observe import Observer, metrics_registry, observing, reset_registry
 from repro.observe.traceevent import trace_events
 from repro.pipelines import harris, harris_input_type
 from repro.rise import Identifier
@@ -35,27 +37,32 @@ def items():
     return [{"rgb": synthetic_rgb(16, 20, seed=s)} for s in range(N_ITEMS)]
 
 
-def _batch_span(obs):
+@pytest.fixture(scope="module")
+def thread_batch(pipeline, items):
+    """One observed 2-thread batch: ``(batch, observer, registry counters)``."""
+    reset_registry()
+    with observing() as obs:
+        batch = pipeline.run_batch(items, workers=2, mode="thread")
+    return batch, obs, metrics_registry().snapshot()["counters"]
+
+
+def _item_spans(obs):
     roots = [s for s in obs.spans if s.name == "engine.batch"]
     assert len(roots) == 1, [s.name for s in obs.spans]
-    return roots[0]
+    return [c for c in roots[0].children if c.name == "engine.batch.item"]
 
 
 class TestThreadPoolEmission:
-    def test_every_item_counter_is_recorded(self, pipeline, items):
-        with observing() as obs:
-            batch = pipeline.run_batch(items, workers=2, mode="thread")
+    def test_every_item_counter_is_recorded(self, thread_batch):
+        batch, obs, counters = thread_batch
         assert batch.mode == "thread"
-        # the satellite fix: before context propagation these were 0
-        assert obs.counters["engine.batch.item"] == N_ITEMS
-        assert obs.counters["engine.batch.items"] == N_ITEMS
-        assert obs.counters["engine.batch.runs"] == 1
+        # one span per item, recorded in the pool threads
+        assert len(_item_spans(obs)) == N_ITEMS
+        assert counters["engine.batch.items{mode=thread}"] == N_ITEMS
+        assert counters["engine.batch.runs{mode=thread}"] == 1
 
-    def test_span_tree_is_well_formed(self, pipeline, items):
-        with observing() as obs:
-            pipeline.run_batch(items, workers=2, mode="thread")
-        batch = _batch_span(obs)
-        item_spans = [c for c in batch.children if c.name == "engine.batch.item"]
+    def test_span_tree_is_well_formed(self, thread_batch):
+        item_spans = _item_spans(thread_batch[1])
         assert len(item_spans) == N_ITEMS
         assert sorted(s.meta["index"] for s in item_spans) == list(range(N_ITEMS))
         for s in item_spans:
@@ -65,10 +72,8 @@ class TestThreadPoolEmission:
             assert s.duration_ms >= 0.0
             assert s.tid > 0
 
-    def test_trace_export_has_item_events(self, pipeline, items):
-        with observing() as obs:
-            pipeline.run_batch(items, workers=2, mode="thread")
-        events = [e for e in trace_events(obs) if e["ph"] == "X"]
+    def test_trace_export_has_item_events(self, thread_batch):
+        events = [e for e in trace_events(thread_batch[1]) if e["ph"] == "X"]
         item_events = [e for e in events if e["name"] == "engine.batch.item"]
         assert len(item_events) == N_ITEMS
         # workers record real thread ids; with >1 worker the pool *may*
@@ -77,34 +82,22 @@ class TestThreadPoolEmission:
 
 
 class TestProcessPoolEmission:
-    def test_item_counters_survive_process_workers(self, pipeline, items):
+    def test_item_counters_survive_process_workers(
+        self, pipeline, items, fresh_metrics_registry
+    ):
         with observing() as obs:
             batch = pipeline.run_batch(items, workers=2, mode="process")
         # sandboxes without fork degrade to sequential; both paths must
-        # record exactly one engine.batch.item per input
+        # record exactly one engine.batch.item span per input
         assert batch.mode in ("process", "sequential")
-        assert obs.counters["engine.batch.item"] == N_ITEMS
-        batch_span = _batch_span(obs)
-        item_spans = [c for c in batch_span.children if c.name == "engine.batch.item"]
+        counted = fresh_metrics_registry.counter("engine.batch.items", mode=batch.mode)
+        assert counted.value == N_ITEMS
+        item_spans = _item_spans(obs)
         assert len(item_spans) == N_ITEMS
         assert all(s.duration_ms > 0 for s in item_spans)
 
 
 class TestObserverConcurrency:
-    def test_concurrent_counts_are_exact(self):
-        obs = Observer()
-
-        def hammer():
-            for _ in range(1000):
-                obs.count("x")
-
-        threads = [threading.Thread(target=hammer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert obs.counters["x"] == 8000
-
     def test_concurrent_spans_do_not_corrupt_the_tree(self):
         obs = Observer()
 

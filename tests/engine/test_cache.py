@@ -6,9 +6,10 @@ import pytest
 
 from repro.engine import Engine
 from repro.image import synthetic_rgb, reference
-from repro.observe import ProfileCollector, profiling
+from repro.observe import compile_profiles, observing
 from repro.pipelines import harris, harris_input_type
-from repro.rise import Identifier
+from repro.rise import Identifier, array, f32
+from repro.rise.dsl import fun, lit, map_seq
 from repro.strategies import cbuf_version
 
 SENV = {"rgb": harris_input_type()}
@@ -31,18 +32,13 @@ class TestWarmPath:
         cold = compile_harris(eng)
         assert cold.cache_status == "miss"
 
-        warm_profiles = ProfileCollector()
-        with profiling(warm_profiles):
+        with observing() as obs:
             warm = compile_harris(eng)
         assert warm.cache_status == "hit-memory"
-        # acceptance criterion: zero lowering-phase spans on the hit path
-        phases = [
-            p.name
-            for prof in warm_profiles.profiles.values()
-            for p in prof.phases.values()
-        ]
-        assert "lower" not in phases
-        assert phases == []
+        # acceptance criterion: zero compiler-layer spans on the hit path
+        names = [s.name for s in obs.flat_spans()]
+        assert names == ["engine.compile"]
+        assert compile_profiles(obs) == []
         # and at least 5x cheaper in wall time (observed: >1000x)
         assert warm.compile_ms * 5 < cold.compile_ms
         # same artifact either way
@@ -71,6 +67,18 @@ class TestWarmPath:
         np.testing.assert_allclose(
             cold_out.reshape(ref.shape), ref, rtol=1e-3, atol=1e-4
         )
+
+
+class TestColdPath:
+    @pytest.mark.requires_gcc
+    def test_cold_c_compile_opens_one_span_per_layer(self):
+        triple = map_seq(fun(lambda v: v * lit(3.0)), Identifier("xs"))
+        with observing() as obs:
+            Engine().compile(triple, type_env={"xs": array("n", f32)}, backend="c")
+        assert [s.name for s in obs.spans] == ["engine.compile"]
+        below = [s.name for s in obs.flat_spans()[1:]]
+        for layer in ("codegen.lower", "codegen.print", "exec.gcc"):
+            assert below.count(layer) == 1, below
 
 
 class TestDiskTier:

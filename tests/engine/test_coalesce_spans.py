@@ -95,7 +95,7 @@ class TestCoalesceSpans:
         assert leader_span.span_id
         assert leader_span.request_id == requests[0].request_id
         assert any(
-            s.name == "backend.lower" for s in leader_obs.flat_spans()
+            s.name == "codegen.lower" for s in leader_obs.flat_spans()
         ), "leader tree is missing the build phase"
 
         # every follower span carries the leader's identity
@@ -111,7 +111,7 @@ class TestCoalesceSpans:
             )
             # followers never ran the build themselves
             assert not any(
-                s.name == "backend.lower" for s in follower_obs.flat_spans()
+                s.name == "codegen.lower" for s in follower_obs.flat_spans()
             )
 
         # and said so in the event log

@@ -1,4 +1,4 @@
-"""Tracing must be a pure observer: results with tracing/profiling on are
+"""Tracing must be a pure observer: results with tracing/observing on are
 identical to results with them off (the acceptance bar for the whole
 observability layer)."""
 
@@ -6,7 +6,7 @@ import itertools
 
 from repro.codegen import compile_program
 from repro.codegen.cprint import program_to_c
-from repro.observe import observing, profiling, tracing
+from repro.observe import compile_profiles, observing, tracing
 from repro.pipelines import harris, harris_input_type
 from repro.rise import Identifier
 from repro.rise import expr as expr_mod
@@ -43,16 +43,17 @@ class TestTracedEqualsUntraced:
     def test_rewrite_result_identical_with_rotation(self):
         _assert_traced_equals_untraced(cbuf_rrot_version)
 
-    def test_compiled_code_identical_under_profiling(self):
+    def test_compiled_code_identical_under_observing(self):
         senv = {"rgb": harris_input_type()}
-        low = _lowered(senv)
+        low = _lowered(senv, cbuf_rrot_version)
         _pin_gensym(2_000_000)
-        plain = compile_program(low, senv, "rise_cbuf_eq")
+        plain = program_to_c(compile_program(low, senv, "rise_cbuf_rrot_eq"))
         _pin_gensym(2_000_000)
-        with profiling() as prof:
-            profiled = compile_program(low, senv, "rise_cbuf_eq")
-        assert prof.profiles, "sanity: profiling actually collected phases"
-        assert program_to_c(profiled) == program_to_c(plain)
+        with observing() as obs:
+            observed = program_to_c(compile_program(low, senv, "rise_cbuf_rrot_eq"))
+        [profile] = compile_profiles(obs)
+        assert profile["program"] == "rise_cbuf_rrot_eq", "sanity: phases recorded"
+        assert observed == plain
 
     def test_execution_identical_under_observing(self):
         import numpy as np

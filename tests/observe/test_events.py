@@ -87,6 +87,10 @@ class TestFailures:
         log.emit("d", outcome="deadline")
         assert [r["event"] for r in log.failures()] == ["b", "d"]
         assert [r["event"] for r in log.failures(1)] == ["d"]
+        assert [r["event"] for r in log.failures(5)] == ["b", "d"]
+        assert log.failures(0) == []
+        with pytest.raises(ValueError):
+            log.failures(-1)
 
 
 class TestSink:

@@ -14,7 +14,7 @@ class TestRunReport:
         d = report.to_dict()
         # the schema identifier and the exact key order are a contract:
         # downstream tooling parses these reports
-        assert d["schema"] == SCHEMA == "repro.observe.report/v2"
+        assert d["schema"] == SCHEMA == "repro.observe.report/v3"
         assert tuple(d) == TOP_LEVEL_KEYS == (
             "schema", "name", "environment", "derivation",
             "compile", "engine", "execution", "metrics",
@@ -24,7 +24,7 @@ class TestRunReport:
         report = RunReport(name="r")
         report.environment = {"chunk": 4}
         report.metrics = {"psnr_db.cbuf": 142.4}
-        report.execution = {"cbuf": {"counters": {"exec.kernels": 2}}}
+        report.execution = {"cbuf": {"kernel_ms": [0.5, 1.25]}}
         path = tmp_path / "report.json"
         report.save(path)
         loaded = json.loads(path.read_text())
@@ -51,21 +51,34 @@ class TestRunReport:
         }
         report.compile = [{
             "program": "rise_cbuf",
-            "phases": [{"name": "lower", "wall_ms": 1.5, "calls": 1,
+            "phases": [{"name": "codegen.emit", "wall_ms": 1.5, "calls": 1,
                         "ir_nodes": 40}],
         }]
         report.metrics = {"psnr_db.cbuf": 142.4}
         text = report.render_text()
-        for needle in ("demo", "cbuf", "betaReduction", "lower",
+        for needle in ("demo", "cbuf", "betaReduction", "codegen.emit",
                        "ir_nodes=40", "psnr_db.cbuf"):
             assert needle in text
 
 
-class TestBenchHarnessReport:
-    def test_run_report_has_all_sections(self):
-        from repro.bench.harness import run_report
+_OPT = {"codegen.fold": {"nodes_in", "nodes_out"}, "codegen.cse": {"nodes_in", "nodes_out"}}
+_HALIDE = {"codegen.emit": set(), "codegen.vectorize": set(), **_OPT}
+_RISE = {**_HALIDE, "rise.typecheck": set(), "codegen.emit": {"ir_nodes"}}
 
-        report = run_report(chunk=4, height=20, width=20)
+#: program -> (profile meta keys, {phase: phase meta keys}) of a cold
+#: ``compile_all``: the phases and meta keys of the profile recorder
+#: this view replaced, under their span names.
+EXPECTED_PROFILES = {
+    "opencv_harris": (set(), _OPT),
+    "halide_harris": (set(), _HALIDE),
+    "rise_cbuf": ({"rise_nodes"}, _RISE),
+    "rise_cbuf_rrot": ({"rise_nodes"}, _RISE),
+}
+
+
+class TestBenchHarnessReport:
+    def test_run_report_has_all_sections(self, harness_report):
+        report, _ = harness_report
         d = report.to_dict()
         assert tuple(d) == TOP_LEVEL_KEYS
         assert d["derivation"], "expected per-schedule derivation stats"
@@ -75,7 +88,21 @@ class TestBenchHarnessReport:
         phase_names = {
             p["name"] for prof in d["compile"] for p in prof["phases"]
         }
-        assert {"lower", "fold", "cse"} <= phase_names
-        assert d["execution"]["counters"].get("exec.kernels", 0) > 0
+        assert {"codegen.emit", "codegen.fold", "codegen.cse"} <= phase_names
+        counters = d["metrics"]["registry"]["counters"]
+        assert sum(v for k, v in counters.items() if k.startswith("exec.kernels")) > 0
+        assert "counters" not in d["execution"]
+        assert d["execution"]["kernels"], "expected executed kernels"
         assert d["metrics"]["psnr_db"], "expected per-implementation PSNR"
         assert d["metrics"]["validation_passes"] is True
+
+    def test_compile_profiles_match_the_cold_compile(self, harness_report):
+        report, _ = harness_report
+        profiles = {p["program"]: p for p in report.compile}
+        # opencv + 10 Lift kernels + halide + the two RISE schedules
+        assert len(profiles) == len(report.compile) == 14
+        for program, (meta_keys, phases) in EXPECTED_PROFILES.items():
+            profile = profiles[program]
+            assert set(profile) - {"program", "phases"} == meta_keys, program
+            got = {p["name"]: set(p) - {"name", "wall_ms", "calls"} for p in profile["phases"]}
+            assert got == phases, program

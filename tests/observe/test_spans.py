@@ -1,16 +1,16 @@
-"""Spans and counters: nesting, timing, activation scoping."""
+"""Spans: nesting, timing, activation scoping."""
 
 import time
 
-from repro.observe import Observer, active, count, observing, span
+from repro.observe import Observer, active, inc, observing, span
 
 
 class TestSpans:
     def test_inactive_by_default(self):
         assert active() is None
-        # module-level helpers are no-ops without an observer
+        # the module-level helper is a no-op without an observer
         with span("nothing") as s:
-            count("nothing")
+            pass
         assert s.name == "<disabled>"
 
     def test_nested_spans(self):
@@ -35,12 +35,13 @@ class TestSpans:
                 pass
         assert [s.name for s in obs.flat_spans()] == ["a", "b", "c"]
 
-    def test_counters(self):
+    def test_counters(self, fresh_metrics_registry):
+        # counts live only in the metrics registry, observed or not
         with observing() as obs:
-            count("x")
-            count("x", 2)
-            count("y")
-        assert obs.counters == {"x": 3, "y": 1}
+            inc("x", 2)
+        inc("x")
+        assert fresh_metrics_registry.counter("x").value == 3
+        assert not hasattr(obs, "counters") and "counters" not in obs.to_dict()
 
     def test_activation_is_scoped(self):
         with observing() as obs:
@@ -54,28 +55,11 @@ class TestSpans:
         d = obs.to_dict()
         assert d["spans"][0]["name"] == "k"
         assert d["spans"][0]["meta"] == {"program": "p", "extra": 1}
-        assert "counters" in d
 
     def test_render_text(self):
         with observing() as obs:
-            with span("phase-x"):
-                count("n.things", 4)
+            with span("phase-x", things=4):
+                pass
         text = obs.render_text()
         assert "phase-x" in text
-        assert "n.things" in text
-
-
-class TestInterpreterCounters:
-    def test_primitive_counts(self):
-        from repro.rise import evaluate
-        from repro.rise.dsl import arr, fun, lit, map_, reduce_
-
-        prog = reduce_(fun(lambda a, x: a + x), lit(0.0), map_(
-            fun(lambda x: x * lit(2.0)), arr([1, 2, 3])))
-        with observing() as obs:
-            result = evaluate(prog)
-        assert float(result) == 12.0
-        assert obs.counters.get("interp.Map") == 1
-        assert obs.counters.get("interp.Reduce") == 1
-        # scalar ops fire once per element / reduction step
-        assert obs.counters.get("interp.ScalarOp", 0) >= 2
+        assert "things=4" in text

@@ -71,9 +71,9 @@ class TestServeSpanTree:
         spans = _spans_by_name(obs)
         (serve_span,) = spans["serve.request"]
         (compile_span,) = spans["engine.compile"]
-        (lower_span,) = spans["backend.lower"]
+        (lower_span,) = spans["codegen.lower"]
 
-        # one coherent tree: serve.request -> engine.compile -> backend.lower
+        # one coherent tree: serve.request -> engine.compile -> codegen.lower
         assert compile_span.parent_id == serve_span.span_id
         assert lower_span.parent_id == compile_span.span_id
         assert compile_span in serve_span.children

@@ -107,6 +107,12 @@ class TestFailures:
         proc = _run(str(path), "--failures", "10", "--json")
         records = json.loads(proc.stdout)
         assert [r["event"] for r in records] == ["serve.error", "serve.reject"]
+        proc = _run(str(path), "--failures", "0", "--json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []
+        proc = _run(str(path), "--failures", "-1")
+        assert proc.returncode == 2
+        assert "--failures" in proc.stderr
 
 
 class TestErrors:

@@ -53,7 +53,7 @@ def _format_record(record: dict) -> str:
 
 def main() -> int:
     """Filter, timeline, or failure-dump one event file."""
-    from repro.observe.events import is_failure, read_events, request_timeline
+    from repro.observe.events import last_failures, read_events, request_timeline
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("file", help="JSONL event file to query")
@@ -83,6 +83,8 @@ def main() -> int:
         "--json", action="store_true", help="emit matching records as JSON"
     )
     args = parser.parse_args()
+    if args.failures is not None and args.failures < 0:
+        parser.error(f"--failures N must be >= 0, got {args.failures}")
 
     path = Path(args.file)
     if not path.is_file():
@@ -108,7 +110,7 @@ def main() -> int:
                 if (r.get("attrs") or {}).get("outcome") == args.outcome
             ]
         if args.failures is not None:
-            records = [r for r in records if is_failure(r)][-args.failures :]
+            records = last_failures(records, args.failures)
 
     if args.json:
         print(json.dumps(records, indent=2))
