@@ -278,7 +278,12 @@ class Buffer:
 
     ``pad`` extra elements are allocated beyond ``size`` so vector loads
     near the end of a line stay in bounds (the paper likewise rounds
-    buffers up to vector-width multiples).
+    buffers up to vector-width multiples).  Only temporaries carry a
+    pad: parameter buffers (kernel inputs and outputs) have pad 0, so the
+    runtimes pass caller arrays straight to the kernel.  That no generated
+    kernel reads past a parameter's ``size`` is checked by
+    ``tests/exec/test_guard_pages.py``.  A runtime allocates
+    :meth:`alloc_size` elements for any buffer it has to copy.
     """
 
     name: str

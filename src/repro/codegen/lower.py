@@ -83,7 +83,10 @@ from repro.codegen.vectorize import VectorizeError, vectorize_stmts
 
 __all__ = ["compile_program", "CodegenError"]
 
-BUFFER_PAD = 8  # slack floats so vector loads at line ends stay in bounds
+#: Slack floats after each temporary and line-buffer row, so vector loads
+#: at line ends stay in bounds.  Parameter buffers get none (see
+#: :class:`~repro.codegen.ir.Buffer`).
+BUFFER_PAD = 8
 
 _OP_MAP = {"add": "add", "sub": "sub", "mul": "mul", "div": "div", "min": "min", "max": "max"}
 
@@ -1362,7 +1365,7 @@ def compile_program(
                     suffix = "" if p == () else "_" + "".join(map(str, p))
                     bname = f"{ident}{suffix}"
                     size = _total_leaf_size(itype, p)
-                    inputs.append(Buffer(bname, size, pad=BUFFER_PAD))
+                    inputs.append(Buffer(bname, size))
                     buffers[p] = bname
                     offsets[p] = IConst(0)
                 env[ident] = buffer_view(itype, buffers, offsets)
@@ -1373,7 +1376,7 @@ def compile_program(
             out_paths = scalar_leaf_paths(out_type)
             if out_paths != [()]:
                 raise CodegenError("pair-typed outputs are not supported at top level")
-            out_buffer = Buffer("out", _total_leaf_size(out_type, ()), pad=BUFFER_PAD)
+            out_buffer = Buffer("out", _total_leaf_size(out_type, ()))
             out_dest = dest_for_buffer(out_type, {(): "out"}, {(): IConst(0)})
 
             gen_into(program, out_dest, env, ctx)

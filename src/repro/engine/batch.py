@@ -10,8 +10,9 @@ follows the backend:
   and results return as numpy arrays (bit-identical to a sequential run,
   since the same generated code executes either way).
 * ``c`` (the ctypes bridge) uses a **thread** pool — ctypes releases the
-  GIL for the duration of each kernel call and every call allocates its
-  own buffers, so one loaded library serves all threads.
+  GIL for the duration of each kernel call, every call allocates its
+  own output, and the library's call plan is built once under a lock,
+  so one loaded library serves all threads.
 
 Pool setup failures (restricted sandboxes without ``fork``) degrade to
 sequential execution rather than erroring; ``BatchResult.mode`` records

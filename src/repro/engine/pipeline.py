@@ -217,14 +217,19 @@ class CompiledPipeline:
         """Execute once on the pipeline's backend; returns the flat output.
 
         Input buffers are keyword arguments named after the program's
-        free identifiers (``pipeline.run(rgb=img)``).  ``threads``
+        free identifiers (``pipeline.run(rgb=img)``).  C-contiguous
+        float32 inputs of the exact size are read in place and never
+        written; others are converted once.  The output is a fresh array
+        on every call.  ``threads``
         overrides the pipeline's compile-time thread default for this
         call; both backends resolve it through
         :func:`repro.exec.parallel.effective_threads`.
         """
         from repro.exec.parallel import effective_threads
 
-        bound = self.resolve_run_sizes(sizes)
+        # both backends solve the leftover size constraints themselves;
+        # the C backend once per size binding, in its call plan
+        bound = {**self.sizes, **sizes} if sizes else self.sizes
         nthreads = effective_threads(threads if threads is not None else self.threads)
         start = time.perf_counter()
         with ensure_request(self.request.request_id), span(

@@ -20,15 +20,17 @@ import functools
 import shutil
 import subprocess
 import tempfile
+import threading
 import time
 import weakref
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
 from repro.codegen.cprint import _collect_size_vars, program_to_c
-from repro.codegen.ir import ImpProgram
+from repro.codegen.ir import Buffer, ImpProgram
 from repro.codegen.sizes import resolve_sizes
 from repro.observe.core import span
 from repro.observe.metrics import inc, observe_value
@@ -60,6 +62,9 @@ GCC_TIMEOUT_S = 60.0
 
 #: Lines of compiler diagnostics kept on a :class:`CCompileError`.
 STDERR_TAIL_LINES = 20
+
+#: Size bindings whose call plan one :class:`CLibrary` keeps.
+MAX_CALL_PLANS = 4
 
 
 class CCompileError(RuntimeError):
@@ -141,6 +146,11 @@ class CLibrary:
         self.path = Path(path)
         self.lib: ctypes.CDLL | None = lib
         self._owned_dir = owned_dir
+        # Call plans by (program, size binding), insertion-ordered so the
+        # oldest is dropped past MAX_CALL_PLANS; built under _lock.
+        self._plans: dict[tuple, _CallPlan] = {}
+        self._threads: tuple | None = None
+        self._lock = threading.Lock()
         self._finalizer = (
             weakref.finalize(self, shutil.rmtree, str(owned_dir), True)
             if owned_dir is not None
@@ -158,6 +168,40 @@ class CLibrary:
             raise RuntimeError(f"C library {self.path.name} is closed")
         return getattr(self.lib, name)
 
+    def _thread_control(self) -> tuple:
+        """``(repro_set_threads or None, OpenMP enabled)``, queried once."""
+        with self._lock:
+            if self._threads is None:
+                setter = enabled = None
+                try:
+                    setter = self.function("repro_set_threads")
+                    setter.argtypes = [ctypes.c_int]
+                    setter.restype = None
+                    enabled = self.function("repro_openmp_enabled")
+                    enabled.argtypes = []
+                    enabled.restype = ctypes.c_int
+                except AttributeError:
+                    pass
+                self._threads = (setter, enabled is not None and bool(enabled()))
+            return self._threads
+
+    def _call_plan(self, prog: ImpProgram, sizes: Mapping[str, int]) -> "_CallPlan":
+        """The call plan of ``prog`` under the caller's size binding,
+        built on first use (safe from concurrent callers) and kept for
+        the library's lifetime, at most :data:`MAX_CALL_PLANS` of them."""
+        key = (id(prog), tuple(sorted(sizes.items())))
+        plan = self._plans.get(key)
+        if plan is not None and plan.program is prog:
+            return plan
+        with self._lock:
+            plan = self._plans.get(key)
+            if plan is None or plan.program is not prog:
+                plan = _CallPlan.build(self, prog, sizes)
+                if len(self._plans) >= MAX_CALL_PLANS:
+                    del self._plans[next(iter(self._plans))]
+                self._plans[key] = plan
+            return plan
+
     def close(self) -> None:
         """Release the CDLL handle and delete owned on-disk artifacts.
 
@@ -169,15 +213,11 @@ class CLibrary:
         """
         if self.lib is not None:
             handle = self.lib._handle
-            uses_openmp = False
-            try:
-                probe = self.lib.repro_openmp_enabled
-                probe.argtypes = []
-                probe.restype = ctypes.c_int
-                uses_openmp = bool(probe())
-            except AttributeError:
-                pass
-            self.lib = None
+            uses_openmp = self._thread_control()[1]
+            with self._lock:
+                self._plans.clear()
+                self._threads = None
+                self.lib = None
             if not uses_openmp:
                 try:
                     import _ctypes
@@ -199,6 +239,56 @@ class CLibrary:
     def __repr__(self) -> str:
         state = "closed" if self.closed else "loaded"
         return f"<CLibrary {self.path.name} {state}>"
+
+
+@dataclass(frozen=True)
+class _KernelCall:
+    """One kernel of a call plan: its ctypes function (``argtypes`` set
+    once), size arguments, input buffers with their element counts, and
+    its output's name, element count and allocation."""
+
+    name: str
+    cfn: object
+    size_args: tuple[int, ...]
+    inputs: tuple[tuple[Buffer, int], ...]
+    output: str
+    out_size: int
+    out_alloc: int
+
+
+@dataclass(frozen=True)
+class _CallPlan:
+    """Everything a call of ``program`` under one size binding needs
+    that does not depend on the input data, resolved once per library."""
+
+    program: ImpProgram
+    kernels: tuple[_KernelCall, ...]
+
+    @classmethod
+    def build(cls, library: CLibrary, prog: ImpProgram, sizes: Mapping[str, int]) -> "_CallPlan":
+        t0 = time.perf_counter()
+        resolved = resolve_sizes(prog, sizes)
+        kernels = []
+        for fn in prog.functions:
+            cfn = library.function(fn.name)
+            size_vars = _collect_size_vars(fn)
+            cfn.argtypes = [ctypes.c_int] * len(size_vars) + [ctypes.c_void_p] * (
+                len(fn.inputs) + 1
+            )
+            cfn.restype = None
+            kernels.append(
+                _KernelCall(
+                    name=fn.name,
+                    cfn=cfn,
+                    size_args=tuple(int(resolved[v]) for v in size_vars),
+                    inputs=tuple((b, int(b.size.evaluate(resolved))) for b in fn.inputs),
+                    output=fn.output.name,
+                    out_size=int(fn.output.size.evaluate(resolved)),
+                    out_alloc=int(fn.output.alloc_size().evaluate(resolved)),
+                )
+            )
+        observe_value("exec.bind_ms", (time.perf_counter() - t0) * 1e3)
+        return cls(prog, tuple(kernels))
 
 
 def _run_compiler(cmd: list[str], kernel: str) -> None:
@@ -274,20 +364,10 @@ def set_library_threads(library: CLibrary, threads: int) -> bool:
     fallback.  Older cached ``.so`` files without the helper are treated
     as sequential.
     """
-    try:
-        setter = library.function("repro_set_threads")
-    except AttributeError:
-        return False
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = None
-    setter(int(threads))
-    try:
-        enabled = library.function("repro_openmp_enabled")
-    except AttributeError:
-        return False
-    enabled.argtypes = []
-    enabled.restype = ctypes.c_int
-    return bool(enabled())
+    setter, enabled = library._thread_control()
+    if setter is not None:
+        setter(int(threads))
+    return enabled
 
 
 def execute_with_library(
@@ -305,61 +385,42 @@ def execute_with_library(
     works and batch workers degrade to 1 thread).  Without OpenMP in the
     build the pin is a no-op and ``PARALLEL`` loops run sequentially.
 
-    An input whose element count differs from its buffer's raises
-    ``ValueError`` (it would otherwise be zero-filled or truncated).
-    Each call allocates its own padded buffers, so one loaded library can
-    serve concurrent callers (the batch executor's thread pool): ctypes
+    Sizes, argument lists and ``argtypes`` come from the library's call
+    plan for this size binding, built on first use; the thread helpers
+    are looked up once per library.  Inputs are bound
+    under the runtimes' shared buffer rule
+    (:func:`repro.exec.pyexec._kernel_input`): contiguous float32 arrays
+    of the exact size pass straight through, and an input whose element
+    count differs from its buffer's raises ``ValueError``.  The output is
+    a fresh array on every call, so one loaded library can serve
+    concurrent callers (the batch executor's thread pool): ctypes
     releases the GIL for the duration of each kernel call.
     """
-    from repro.codegen.lower import BUFFER_PAD
     from repro.exec.parallel import effective_threads
+    from repro.exec.pyexec import _kernel_input
 
-    sizes = resolve_sizes(prog, sizes)
+    plan = library._call_plan(prog, sizes)
     nthreads = effective_threads(threads)
     omp_active = set_library_threads(library, nthreads)
     inc("exec.c.threads_pinned" if omp_active else "exec.c.sequential_builds")
     produced: dict[str, np.ndarray] = {}
     result: np.ndarray | None = None
-    for fn in prog.functions:
-        cfn = library.function(fn.name)
-        size_vars = _collect_size_vars(fn)
-        argtypes = [ctypes.c_int] * len(size_vars)
-        call_args: list = [int(sizes[v]) for v in size_vars]
-        for b in fn.inputs:
-            size = int(b.size.evaluate(sizes))
-            if b.name in produced:
-                data = produced[b.name]
-            elif b.name in inputs:
-                data = np.asarray(inputs[b.name], dtype=np.float32).ravel()
-            else:
-                raise KeyError(f"no input for buffer {b.name!r}")
-            if len(data) != size:
-                raise ValueError(
-                    f"buffer {b.name!r} holds {size} elements, got {len(data)}"
-                )
-            buf = np.zeros(size + BUFFER_PAD, dtype=np.float32)
-            buf[:size] = data
-            argtypes.append(ctypes.POINTER(ctypes.c_float))
-            call_args.append(buf.ctypes.data_as(ctypes.POINTER(ctypes.c_float)))
-        out_size = int(fn.output.size.evaluate(sizes))
-        out = np.zeros(out_size + BUFFER_PAD, dtype=np.float32)
-        argtypes.append(ctypes.POINTER(ctypes.c_float))
-        call_args.append(out.ctypes.data_as(ctypes.POINTER(ctypes.c_float)))
-        cfn.argtypes = argtypes
-        cfn.restype = None
+    for call in plan.kernels:
+        args = [_kernel_input(b, size, produced, inputs) for b, size in call.inputs]
+        out = np.zeros(call.out_alloc, dtype=np.float32)
         t0 = time.perf_counter()
         with span(
-            f"run:{fn.name}",
+            f"run:{call.name}",
             program=prog.name,
             backend="c",
             threads=nthreads if omp_active else 1,
         ):
-            cfn(*call_args)
+            call.cfn(*call.size_args, *(a.ctypes.data for a in args), out.ctypes.data)
         kernel_ms = (time.perf_counter() - t0) * 1e3
-        inc("exec.c.kernels", kernel=fn.name)
-        observe_value("exec.c.kernel_ms", kernel_ms, kernel=fn.name)
-        result = out[:out_size]
-        produced[fn.name] = result
-        produced[fn.output.name] = result
+        inc("exec.c.kernels", kernel=call.name)
+        observe_value("exec.c.kernel_ms", kernel_ms, kernel=call.name)
+        result = out[: call.out_size]
+        produced[call.name] = result
+        produced[call.output] = result
     assert result is not None
     return result

@@ -22,6 +22,7 @@ from repro.codegen.ir import (
     Assign,
     BinOp,
     Block,
+    Buffer,
     Broadcast,
     Comment,
     DeclScalar,
@@ -55,6 +56,40 @@ __all__ = [
     "count_parallel_loops",
     "strip_bounds",
 ]
+
+
+def _kernel_input(
+    buffer: Buffer,
+    size: int,
+    produced: Mapping[str, np.ndarray],
+    inputs: Mapping[str, np.ndarray],
+) -> np.ndarray:
+    """The array one kernel reads as ``buffer`` (``size`` elements): the
+    buffer rule both runtimes share.
+
+    An earlier kernel's output wins over a caller input of the same name.
+    A C-contiguous float32 array of exactly ``size`` elements is passed
+    straight through when the IR declares no pad for the buffer; anything
+    else (another dtype or layout, or a declared pad) is copied once into
+    a zeroed ``buffer.alloc_size()`` array, counted in ``exec.copy_bytes``.
+    Kernels never write their inputs, so caller memory is left untouched.
+    """
+    if buffer.name in produced:
+        data = produced[buffer.name]
+    elif buffer.name in inputs:
+        data = np.asarray(inputs[buffer.name])
+    else:
+        raise KeyError(f"no input for buffer {buffer.name!r}")
+    if data.size != size:
+        raise ValueError(f"buffer {buffer.name!r} holds {size} elements, got {data.size}")
+    if buffer.pad == 0 and data.dtype == np.float32 and data.flags.c_contiguous:
+        return data.reshape(-1)
+    from repro.observe.metrics import inc
+
+    copy = np.zeros(size + buffer.pad, dtype=np.float32)
+    copy[:size].reshape(data.shape)[...] = data
+    inc("exec.copy_bytes", size * copy.itemsize)
+    return copy
 
 
 class _Emitter:
@@ -292,8 +327,8 @@ def execute_program(
 ) -> np.ndarray:
     """Execute a compiled program.
 
-    ``inputs`` maps input buffer names to numpy arrays (any shape; they
-    are flattened into padded float32 buffers, and an element count that
+    ``inputs`` maps input buffer names to numpy arrays of any shape,
+    bound under :func:`_kernel_input`'s rule (an element count that
     differs from the buffer's raises ``ValueError``).  Multi-kernel programs
     execute in order; a kernel whose input name matches an earlier
     kernel's name reads that kernel's output (the convention used by the
@@ -310,14 +345,14 @@ def execute_program(
     to a deterministic sequential run, counted in the metrics registry
     as ``exec.py.parallel.sequential``.
 
-    Returns the final output buffer (flat, unpadded length).
+    Returns the final output buffer (flat, unpadded length), freshly
+    allocated on every call.
 
     When :func:`repro.observe.observing` is active, each kernel records a
     ``run:<name>`` span with codegen/exec sub-spans; its meta carries the
     generated source size and the static op counts (``ops.<kind>``) of
     :func:`repro.codegen.ir.op_histogram`.
     """
-    from repro.codegen.lower import BUFFER_PAD
     from repro.codegen.sizes import resolve_sizes
     from repro.exec.parallel import effective_threads
     from repro.observe.core import active, span
@@ -334,21 +369,6 @@ def execute_program(
 
     namespace: dict = {"np": np, "f32": np.float32, "_vinit": _vinit}
     produced: dict[str, np.ndarray] = {}
-
-    def padded(buf_name: str, size: int) -> np.ndarray:
-        if buf_name in produced:
-            data = produced[buf_name]
-        elif buf_name in inputs:
-            data = np.asarray(inputs[buf_name], dtype=np.float32).ravel()
-        else:
-            raise KeyError(f"no input for buffer {buf_name!r}")
-        if len(data) != size:
-            raise ValueError(
-                f"buffer {buf_name!r} holds {size} elements, got {len(data)}"
-            )
-        out = np.zeros(size + BUFFER_PAD, dtype=np.float32)
-        out[:size] = data
-        return out
 
     result: np.ndarray | None = None
     for fn in prog.functions:
@@ -367,11 +387,12 @@ def execute_program(
             exec(code, namespace)
             if use_strips:
                 exec(strip_code, namespace)
-            args = []
-            for b in fn.inputs:
-                args.append(padded(b.name, int(b.size.evaluate(sizes))))
+            args = [
+                _kernel_input(b, int(b.size.evaluate(sizes)), produced, inputs)
+                for b in fn.inputs
+            ]
             out_size = int(fn.output.size.evaluate(sizes))
-            out = np.zeros(out_size + BUFFER_PAD, dtype=np.float32)
+            out = np.zeros(int(fn.output.alloc_size().evaluate(sizes)), dtype=np.float32)
             if par_loops:
                 inc("exec.py.parallel.loops", par_loops, kernel=fn.name)
             if use_strips:

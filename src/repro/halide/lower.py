@@ -416,10 +416,10 @@ def _lower_halide(
     top = For(yo, nat_expr(chunk_count), chunk_body, kind)
 
     input_buffers = [
-        Buffer(iname, nat(param.channels) * rows * cols, pad=_PAD)
+        Buffer(iname, nat(param.channels) * rows * cols)
         for iname, (param, rows, cols) in inputs.items()
     ]
-    out_buffer = Buffer("out", n * m, pad=_PAD)
+    out_buffer = Buffer("out", n * m)
     fn = ImpFunction(
         name=name,
         inputs=input_buffers,

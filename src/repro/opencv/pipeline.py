@@ -49,8 +49,6 @@ from repro.image.reference import GRAY_WEIGHTS, HARRIS_KAPPA, SOBEL_X, SOBEL_Y
 
 __all__ = ["build_harris_opencv_program"]
 
-_PAD = 8
-
 
 def _for(var: str, extent, body, kind=LoopKind.SEQ) -> For:
     return For(var, nat_expr(extent) if isinstance(extent, Nat) else extent, body, kind)
@@ -97,8 +95,8 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
     functions.append(
         _fn(
             "cv_cvtColor",
-            [Buffer("rgb_hwc", nat(3) * rows * cols, _PAD)],
-            Buffer("gray", rows * cols, _PAD),
+            [Buffer("rgb_hwc", nat(3) * rows * cols)],
+            Buffer("gray", rows * cols),
             [body],
         )
     )
@@ -130,8 +128,8 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
     functions.append(
         _fn(
             "cv_makeBorder_gray",
-            [Buffer("gray", rows * cols, _PAD)],
-            Buffer("gray_b", rows * cols, _PAD),
+            [Buffer("gray", rows * cols)],
+            Buffer("gray_b", rows * cols),
             [body],
         )
     )
@@ -185,8 +183,8 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
         )
         return _fn(
             name,
-            [Buffer("gray_b", rows * cols, _PAD)],
-            Buffer(name + "_out", srows * scols, _PAD),
+            [Buffer("gray_b", rows * cols)],
+            Buffer(name + "_out", srows * scols),
             [body],
         )
 
@@ -223,10 +221,10 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
         _fn(
             "cv_cov",
             [
-                Buffer("cv_sobel_dx_out", srows * scols, _PAD),
-                Buffer("cv_sobel_dy_out", srows * scols, _PAD),
+                Buffer("cv_sobel_dx_out", srows * scols),
+                Buffer("cv_sobel_dy_out", srows * scols),
             ],
-            Buffer("cov", nat(3) * srows * scols, _PAD),
+            Buffer("cov", nat(3) * srows * scols),
             [body],
         )
     )
@@ -256,8 +254,8 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
     functions.append(
         _fn(
             "cv_makeBorder_cov",
-            [Buffer("cov", nat(3) * srows * scols, _PAD)],
-            Buffer("cov_b", nat(3) * srows * scols, _PAD),
+            [Buffer("cov", nat(3) * srows * scols)],
+            Buffer("cov_b", nat(3) * srows * scols),
             [body],
         )
     )
@@ -315,8 +313,8 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
     functions.append(
         _fn(
             "cv_boxFilter",
-            [Buffer("cov_b", nat(3) * srows * scols, _PAD)],
-            Buffer("scov", nat(3) * n * m, _PAD),
+            [Buffer("cov_b", nat(3) * srows * scols)],
+            Buffer("scov", nat(3) * n * m),
             [body],
         )
     )
@@ -340,8 +338,8 @@ def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
     functions.append(
         _fn(
             "cv_cornerResponse",
-            [Buffer("scov", nat(3) * n * m, _PAD)],
-            Buffer("out", n * m, _PAD),
+            [Buffer("scov", nat(3) * n * m)],
+            Buffer("out", n * m),
             [body],
         )
     )

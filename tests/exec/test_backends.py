@@ -22,6 +22,17 @@ def double_prog():
     return compile_program(prog, {"xs": array("n", f32)}, "dbl")
 
 
+@pytest.fixture(scope="module")
+def sums_prog():
+    """Windowed sums: every output reads three neighbouring inputs, so a
+    mis-ordered or mis-strided input changes the answer."""
+    expr = map_seq(
+        fun(lambda w: reduce_seq(fun(lambda a, b: a + b), lit(0.0), w)),
+        slide(3, 1, xs),
+    )
+    return compile_program(expr, {"xs": array("n", f32)}, "sums")
+
+
 class TestPythonBackend:
     def test_source_is_valid_python(self, double_prog):
         source = program_to_python(double_prog, {"n": 4})
@@ -121,15 +132,10 @@ class TestCBridge:
         )
         np.testing.assert_allclose(out, np.arange(6.0) * 2)
 
-    def test_agrees_with_python_backend(self):
-        prog_expr = map_seq(
-            fun(lambda w: reduce_seq(fun(lambda a, b: a + b), lit(0.0), w)),
-            slide(3, 1, xs),
-        )
-        prog = compile_program(prog_expr, {"xs": array("n", f32)}, "sums")
+    def test_agrees_with_python_backend(self, sums_prog):
         data = np.linspace(-2, 2, 9).astype(np.float32)
-        py = repro.compile(prog, sizes={"n": 9}).run(xs=data)
-        c = repro.compile(prog, backend="c", sizes={"n": 9}).run(xs=data)
+        py = repro.compile(sums_prog, sizes={"n": 9}).run(xs=data)
+        c = repro.compile(sums_prog, backend="c", sizes={"n": 9}).run(xs=data)
         np.testing.assert_allclose(py, c, rtol=1e-6)
 
     def test_rejected_source_names_the_kernel_and_keeps_diagnostics(self, double_prog):
@@ -155,3 +161,125 @@ class TestWedgedCompiler:
         monkeypatch.setattr(cbridge, "GCC_TIMEOUT_S", 0.5)
         with pytest.raises(cbridge.CCompileError, match="'dbl' timed out after 0.5 s"):
             cbridge.compile_c_library(double_prog, out_dir=tmp_path / "out")
+
+
+BACKENDS = ["python", pytest.param("c", marks=pytest.mark.requires_gcc)]
+
+
+def _copied_bytes() -> float:
+    from repro.observe.metrics import registry
+
+    return registry().counter("exec.copy_bytes").value
+
+
+def _doubling_kernel(pad: int, read_at):
+    """``out[i] = 2 * xs[read_at(i)]`` over ``n``, both buffers declaring
+    ``pad``."""
+    from repro.codegen.ir import (
+        BinOp, Block, Buffer, FConst, For, ImpFunction, ImpProgram, Load,
+        NatE, Store, Var,
+    )
+
+    n = nat("n")
+    body = Block([
+        For("i", NatE(n), Block([
+            Store("out", Var("i"), BinOp("mul", FConst(2.0), Load("xs", read_at(Var("i"))))),
+        ])),
+    ])
+    fn = ImpFunction(
+        f"dbl_pad{pad}",
+        [Buffer("xs", n, pad=pad)],
+        Buffer("out", n, pad=pad),
+        ["n"],
+        body,
+    )
+    return ImpProgram(fn.name, [fn], ["n"])
+
+
+class TestBufferOwnership:
+    """Caller arrays are read in place when they already have the
+    kernel's layout, converted once otherwise, and never written; every
+    run returns a fresh output."""
+
+    DATA = np.linspace(-2, 2, 12).astype(np.float32)
+
+    def _run(self, prog, backend, **inputs):
+        return repro.compile(prog, backend=backend, sizes={"n": 12}).run(**inputs)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_inputs_are_never_written(self, sums_prog, backend):
+        data = self.DATA.copy()
+        self._run(sums_prog, backend, xs=data)
+        np.testing.assert_array_equal(data, self.DATA)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_run_returns_a_fresh_output(self, sums_prog, backend):
+        pipeline = repro.compile(sums_prog, backend=backend, sizes={"n": 12})
+        first = pipeline.run(xs=self.DATA)
+        second = pipeline.run(xs=self.DATA)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, self.DATA)
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "convert",
+        [
+            lambda a: a.astype(np.float64),
+            lambda a: np.asfortranarray(a.reshape(3, 4)),
+            lambda a: np.repeat(a, 2)[::2],
+        ],
+        ids=["float64", "fortran", "strided"],
+    )
+    def test_other_layouts_match_contiguous_float32(
+        self, sums_prog, backend, convert, fresh_metrics_registry
+    ):
+        expected = self._run(sums_prog, backend, xs=self.DATA)
+        assert _copied_bytes() == 0
+        other = convert(self.DATA)
+        assert not (other.dtype == np.float32 and other.flags.c_contiguous)
+        out = self._run(sums_prog, backend, xs=other)
+        np.testing.assert_array_equal(out, expected)
+        assert _copied_bytes() == self.DATA.nbytes
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_declared_parameter_pad_takes_the_copy_path(self, backend, fresh_metrics_registry):
+        """Artifacts lowered before parameter pads were dropped carry
+        ``pad=8``: they are copied into padded buffers and stay correct."""
+        out = self._run(_doubling_kernel(8, lambda i: i), backend, xs=self.DATA)
+        np.testing.assert_array_equal(out, 2 * self.DATA)
+        assert out.size == self.DATA.size
+        assert _copied_bytes() == self.DATA.nbytes
+
+    def test_declared_pad_is_allocated(self):
+        """Regression: the runtimes allocated ``size + 8`` whatever pad the
+        IR declared, so a read inside a pad of 16 raised ``IndexError``."""
+        from repro.codegen.ir import NatE
+
+        prog = _doubling_kernel(16, lambda i: NatE(nat("n") + 12))
+        out = self._run(prog, "python", xs=self.DATA)
+        np.testing.assert_array_equal(out, np.zeros(12, dtype=np.float32))
+
+    @pytest.mark.requires_gcc
+    def test_thread_batch_on_a_never_run_pipeline(
+        self, sums_prog, fresh_engine, fresh_metrics_registry
+    ):
+        """Concurrent first calls share one library and race to build its
+        call plan: exactly one is built, and every item still sees its own
+        inputs and output."""
+        import sys
+
+        pipeline = fresh_engine.compile(sums_prog, backend="c", sizes={"n": 12})
+        items = [{"xs": self.DATA * k} for k in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = pipeline.run_batch(items, workers=8, mode="thread")
+        finally:
+            sys.setswitchinterval(interval)
+        assert batch.mode == "thread"
+        assert fresh_metrics_registry.histogram("exec.bind_ms").count == 1
+        expected = [pipeline.run(**item) for item in items]
+        for out, want in zip(batch.outputs, expected):
+            np.testing.assert_array_equal(out, want)
+        assert len({o.ctypes.data for o in batch.outputs}) == len(items)
