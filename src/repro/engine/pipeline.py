@@ -46,7 +46,7 @@ from repro.engine.hashing import (
     structural_hash,
     type_env_signature,
 )
-from repro.engine.request import CompileRequest
+from repro.engine.request import DEFAULT_CFLAGS, CompileRequest
 from repro.observe.context import ensure_request
 from repro.observe.core import current_span, span
 from repro.observe.events import emit
@@ -328,7 +328,7 @@ class Engine:
         type_env: Mapping[str, Any] | None = None,
         name: str | None = None,
         options: Mapping[str, Any] | None = None,
-        cflags: tuple[str, ...] = ("-O2",),
+        cflags: tuple[str, ...] = DEFAULT_CFLAGS,
         threads: int | None = None,
     ) -> CompiledPipeline:
         """Compile (or fetch from cache) and return a runnable pipeline.
@@ -346,10 +346,12 @@ class Engine:
         ``threads`` pins a default thread count for ``PARALLEL`` loops on
         the returned handle.  Thread configuration is part of the cache
         key: the C backend resolves its *effective* flags (appending
-        ``-fopenmp`` when the toolchain supports it, see
+        ``-fopenmp`` when the toolchain supports it, and
+        ``-march=x86-64-v3`` on a CPU that runs it, see
         :func:`repro.exec.cbridge.effective_cflags`) **before** keying, so
         a sequential ``.so`` cached on an OpenMP-less host is never reused
-        by an OpenMP-capable build — and vice versa — and an explicit
+        by an OpenMP-capable build — and vice versa — a ``.so`` built for
+        ``x86-64-v3`` never reaches a host without it, and an explicit
         thread pin is keyed separately from auto resolution.
 
         Identical concurrent compiles coalesce onto one build: follower
@@ -374,7 +376,7 @@ class Engine:
         return self.compile_request(request)
 
     def compile_request(
-        self, request: CompileRequest, publish: Callable[[CompileRequest], str] | None = None
+        self, request: CompileRequest, publish: Callable[[CompileRequest, str], str] | None = None
     ) -> CompiledPipeline:
         """Serve one :class:`CompileRequest` (see :meth:`compile`).
 
@@ -385,16 +387,17 @@ class Engine:
         carries the same correlation identity.
 
         ``publish`` moves the build of a miss out of this process: the
-        singleflight leader calls ``publish(request)`` (with the request's
-        effective cflags) instead of building, and it must leave the
-        artifact in this engine's disk store and return its cache status
-        there (``"miss"`` when it built, ``"hit-disk"`` when another
-        process had published first).  The engine then loads the
+        singleflight leader calls ``publish(request, key)`` (with the
+        request's effective cflags, and the key they resolved to) instead
+        of building, and it must leave the artifact under ``key`` in this
+        engine's disk store and return its cache status there (``"miss"``
+        when it built, ``"hit-disk"`` when another process had published
+        first).  The engine then loads the
         artifact; keying, the cache probe, coalescing and accounting are
         those of an in-process build.
         """
         with ensure_request(request.request_id):
-            return self._compile_in_scope(request, publish)
+            return self.compile_resolved(*self._keyed(request), publish)
 
     def lookup(self, request: CompileRequest) -> CompiledPipeline | None:
         """The cache-only half of :meth:`compile_request`.
@@ -446,11 +449,18 @@ class Engine:
         )
         return CompiledPipeline(self, entry, request, status, elapsed_ms)
 
-    def _compile_in_scope(
-        self, request: CompileRequest, publish: Callable[[CompileRequest], str] | None
+    def compile_resolved(
+        self,
+        request: CompileRequest,
+        key: str,
+        publish: Callable[[CompileRequest, str], str] | None = None,
     ) -> CompiledPipeline:
-        """The body of :meth:`compile_request`, under an active request scope."""
-        request, key = self._keyed(request)
+        """:meth:`compile_request` for a request whose cflags are already
+        resolved, and ``key`` its cache key; call it inside a request scope.
+
+        A serve build child enters here with its parent's resolution, so
+        it neither probes the toolchain again nor re-keys the request.
+        """
         start = time.perf_counter()
         with span(
             "engine.compile",
@@ -485,7 +495,7 @@ class Engine:
         self,
         key: str,
         request: CompileRequest,
-        publish: Callable[[CompileRequest], str] | None,
+        publish: Callable[[CompileRequest, str], str] | None,
     ) -> tuple[CacheEntry, str]:
         """Build ``key`` exactly once per process (and, with a disk
         store, once across processes), coalescing concurrent callers.
@@ -523,7 +533,7 @@ class Engine:
             if publish is None:
                 entry, status = self._build_here(key, request)
             else:
-                status = publish(request)
+                status = publish(request, key)
                 entry, _ = self.cache.get(key, count_miss=False)
                 if entry is None:
                     raise RuntimeError(
@@ -662,7 +672,7 @@ class Engine:
         else:
             entry.library = compile_c_library(
                 entry.program,
-                extra_flags=tuple(entry.meta.get("cflags", ("-O2",))),
+                extra_flags=tuple(entry.meta.get("cflags", DEFAULT_CFLAGS)),
                 source=entry.c_source,
             )
         return entry.library
@@ -707,7 +717,7 @@ def compile(
     type_env: Mapping[str, Any] | None = None,
     name: str | None = None,
     options: Mapping[str, Any] | None = None,
-    cflags: tuple[str, ...] = ("-O2",),
+    cflags: tuple[str, ...] = DEFAULT_CFLAGS,
     threads: int | None = None,
     engine: Engine | None = None,
 ) -> CompiledPipeline:

@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.codegen.ir import ImpProgram
+from repro.exec.cbridge import DEFAULT_CFLAGS
 from repro.observe.context import new_request_id
 from repro.rise.expr import Expr
 
@@ -32,10 +33,6 @@ __all__ = ["CompileRequest", "BACKENDS", "DEFAULT_CFLAGS"]
 
 #: The execution backends the engine can target.
 BACKENDS = ("python", "c")
-
-#: Default C compiler flags (the engine appends ``-fopenmp`` when the
-#: toolchain supports it, see :func:`repro.exec.cbridge.effective_cflags`).
-DEFAULT_CFLAGS = ("-O2",)
 
 
 def _frozen_mapping(value: Mapping | None, what: str) -> Mapping:

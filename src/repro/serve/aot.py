@@ -9,7 +9,10 @@ mobile platforms"): :func:`prebuild` compiles a named set of kernels
 (the Harris schedule variants of the paper's evaluation, times the
 available backends) into a shared artifact store, then writes an
 ``aot_manifest.json`` at the store root mapping kernel names to cache
-keys.  Any later process pointing an engine at the same store —
+keys and, for C kernels, to the resolved ``cflags`` they were built
+with (so an install script can see the ISA level a store targets: a
+store built with ``-march=x86-64-v3`` is a clean miss on a host without
+it).  Any later process pointing an engine at the same store —
 including every :class:`~repro.serve.server.Server` worker — warm-starts
 each of those kernels from disk without running a single compiler phase.
 
@@ -192,6 +195,7 @@ def prebuild(
             {
                 "kernel": kernel_name,
                 "key": pipeline.key,
+                "cflags": list(pipeline.request.cflags) if pipeline.backend == "c" else [],
                 "backend": pipeline.backend,
                 "program": pipeline.program.name,
                 "cache": pipeline.cache_status,

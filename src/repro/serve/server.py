@@ -157,14 +157,16 @@ def builds_out_of_process(engine: Engine, request: CompileRequest) -> bool:
 def _build_child() -> None:
     """Body of one build child (already at low priority, see :data:`_CHILD_MAIN`).
 
-    Reads ``(request, store root, max entries, max bytes)`` pickled by
-    the parent from stdin, compiles through an engine over that store
-    (publishing the artifact under the store's build lock) and prints
-    the cache status as its last line.
+    Reads ``(request, key, store root, max entries, max bytes)`` pickled
+    by the parent from stdin, with the request's cflags already resolved
+    to ``key``, compiles through an engine over that store (publishing
+    the artifact under the store's build lock) and prints the cache
+    status as its last line.
     """
-    request, root, max_entries, max_bytes = pickle.load(sys.stdin.buffer)
+    request, key, root, max_entries, max_bytes = pickle.load(sys.stdin.buffer)
     engine = Engine(cache_dir=root, max_disk_entries=max_entries, max_disk_bytes=max_bytes)
-    print(engine.compile_request(request).cache_status)
+    with request_scope(request_id=request.request_id):
+        print(engine.compile_resolved(request, key).cache_status)
 
 
 @dataclass
@@ -418,9 +420,10 @@ class Server:
             ):
                 return self.engine.compile_request(request, publish)
 
-    def _build_in_child(self, request: CompileRequest) -> str:
-        """Build ``request`` in a fresh low-priority interpreter that
-        publishes into the engine's store; returns the child's cache status.
+    def _build_in_child(self, request: CompileRequest, key: str) -> str:
+        """Build ``request`` under ``key`` in a fresh low-priority
+        interpreter that publishes into the engine's store; returns the
+        child's cache status.
 
         Runs on a worker thread, which waits for the child (so the
         executor's shutdown in :meth:`stop` reaps it).  The child reads
@@ -428,7 +431,7 @@ class Server:
         to this process's stdout/stderr.
         """
         store = self.engine.cache.store
-        job = pickle.dumps((request, store.root, store.max_entries, store.max_bytes))
+        job = pickle.dumps((request, key, store.root, store.max_entries, store.max_bytes))
         source_root = str(Path(__file__).resolve().parents[2])
         start = time.perf_counter()
         with subprocess.Popen(

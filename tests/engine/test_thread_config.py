@@ -55,17 +55,17 @@ class TestCacheKey:
         key_for = lambda: engine._key_for(
             *args, cbridge.effective_cflags(("-O2",)), None
         )
-        cbridge.openmp_available.cache_clear()
+        cbridge.toolchain.cache_clear()
         try:
             import unittest.mock as mock
 
             with mock.patch.object(cbridge, "have_c_compiler", lambda: False):
-                cbridge.openmp_available.cache_clear()
+                cbridge.toolchain.cache_clear()
                 seq_key = key_for()
-            cbridge.openmp_available.cache_clear()
+            cbridge.toolchain.cache_clear()
             omp_key = key_for()
         finally:
-            cbridge.openmp_available.cache_clear()
+            cbridge.toolchain.cache_clear()
         if cbridge.openmp_available():
             assert seq_key != omp_key
         else:

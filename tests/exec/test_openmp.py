@@ -35,11 +35,11 @@ class TestProbe:
 
     def test_no_compiler_means_no_openmp(self, monkeypatch):
         monkeypatch.setattr(cbridge, "have_c_compiler", lambda: False)
-        cbridge.openmp_available.cache_clear()
+        cbridge.toolchain.cache_clear()
         try:
             assert cbridge.openmp_available() is False
         finally:
-            cbridge.openmp_available.cache_clear()
+            cbridge.toolchain.cache_clear()
 
 
 class TestEffectiveFlags:

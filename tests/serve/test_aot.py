@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import Engine
+from repro.engine import CompileRequest, Engine
+from repro.exec.cbridge import effective_cflags
 from repro.image import reference, synthetic_rgb
+from repro.rise import Identifier, array, f32
+from repro.rise.dsl import fun, lit, map_seq
 from repro.serve import (
     AOT_MANIFEST,
     harris_kernel_requests,
@@ -84,6 +87,19 @@ class TestManifest:
         written = prebuild(store)
         read = load_manifest(store)
         assert read["kernels"] == json.loads(json.dumps(written))["kernels"]
+
+    @pytest.mark.requires_gcc
+    def test_entries_name_the_resolved_cflags(self, tmp_path):
+        scale = CompileRequest(
+            source=map_seq(fun(lambda v: v * lit(2.0)), Identifier("xs")),
+            type_env={"xs": array("n", f32)},
+            name="aot_scale",
+        )
+        store = tmp_path / "store"
+        prebuild(store, [("scale@c", scale.replace(backend="c")), ("scale@python", scale)])
+        c_entry, py_entry = load_manifest(store)["kernels"]
+        assert c_entry["cflags"] == list(effective_cflags())
+        assert py_entry["cflags"] == []
 
     def test_unknown_schema_rejected(self, tmp_path):
         store = tmp_path / "store"
