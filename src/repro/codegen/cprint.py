@@ -3,8 +3,10 @@
 Emits portable C using GCC vector extensions for the SIMD operations
 (the paper's backend emits OpenCL C with vector types; the structure —
 strip loops, unaligned vector loads, shuffles, rotating registers — is
-identical).  Parallel loops carry an OpenMP pragma.  Symbolic sizes
-become ``int`` parameters, so one emitted kernel serves all image sizes.
+identical).  Parallel loops carry an OpenMP pragma, and scalar loops
+whose iterations are provably independent carry ``#pragma omp simd``
+(see :func:`simd_loop`).  Symbolic sizes become ``int`` parameters, so
+one emitted kernel serves all image sizes.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ from repro.codegen.ir import (
     walk_exprs,
     walk_stmts,
 )
+from repro.codegen.vectorize import affine_coefficient
 
-__all__ = ["program_to_c", "function_to_c", "nat_to_c"]
+__all__ = ["program_to_c", "function_to_c", "nat_to_c", "simd_loop"]
 
 _PRELUDE = """#include <stdint.h>
 #include <string.h>
@@ -126,6 +129,67 @@ def _vector_widths(prog: ImpProgram) -> list[int]:
             elif isinstance(e, VPack):
                 widths.add(len(e.lanes))
     return sorted(widths)
+
+
+_VECTOR_EXPRS = (VLoad, Broadcast, VShuffle, VPack, VLane)
+
+
+def simd_loop(loop: For) -> bool:
+    """Whether the printer marks ``loop`` ``#pragma omp simd``.
+
+    The pragma tells gcc the iterations are independent, so it vectorizes
+    the loop whatever its cost model says.  A RISE ``map`` guarantees
+    that independence; this syntactic check proves it again on the IR, so
+    only loops where it holds are marked:
+
+    * a sequential loop whose extent is symbolic and not a vector tail
+      (``... % w``, fewer iterations than one vector);
+    * a body of float scalar declarations and stores only — no inner
+      loop, no assignment to an outer variable, no vector code;
+    * every load index affine in the loop variable with coefficient 0
+      or 1, and each written buffer stored at one index with
+      coefficient 1;
+    * no buffer both read and written in the loop.
+    """
+    # lowering folds a constant extent to an IConst
+    if loop.kind is not LoopKind.SEQ or not isinstance(loop.extent, NatE):
+        return False
+    if _is_mod(loop.extent.value):
+        return False
+    stores: dict[str, IExpr] = {}
+    for s in walk_stmts(loop.body):
+        if isinstance(s, Store):
+            if stores.setdefault(s.buffer, s.index) != s.index:
+                return False
+            if _coefficient(s.index, loop.var) != 1:
+                return False
+        elif isinstance(s, DeclScalar):
+            if s.kind is not ScalarKind.F32:
+                return False
+        elif not isinstance(s, (Block, Comment)):
+            return False
+    reads: set[str] = set()
+    for e in walk_exprs(loop.body):
+        if isinstance(e, _VECTOR_EXPRS):
+            return False
+        if isinstance(e, Load):
+            if _coefficient(e.index, loop.var) not in (0, 1):
+                return False
+            reads.add(e.buffer)
+    return not reads & stores.keys()
+
+
+def _coefficient(index: IExpr, var: str) -> int | None:
+    affine = affine_coefficient(index, var)
+    return None if affine is None else affine[0]
+
+
+def _is_mod(n: Nat) -> bool:
+    """Whether ``n`` is a bare ``a % b``, the extent of a vector tail."""
+    if len(n.terms) != 1:
+        return False
+    monomial, coeff = n.terms[0]
+    return coeff == 1 and len(monomial) == 1 and isinstance(monomial[0][0], NatMod)
 
 
 def nat_to_c(n: Nat) -> str:
@@ -279,6 +343,8 @@ class _CPrinter:
                 # Python backend (contiguous row strips per thread), so
                 # both backends partition work identically.
                 self.line("#pragma omp parallel for schedule(static)")
+            elif simd_loop(s):
+                self.line("#pragma omp simd")
             extent = self.expr(s.extent)
             self.line(f"for (int {s.var} = 0; {s.var} < {extent}; {s.var}++) {{")
             self.indent += 1

@@ -16,7 +16,11 @@ neighbouring memory.
 
 Cases: every applicable zoo pair at vec 4 and vec 8 plus the three
 Harris baselines, compiled under the same keys as the differential
-matrix and the gcc integration tests, so no case costs another gcc run.
+matrix and the gcc integration tests, so no case costs another gcc run
+but harris ``naive``.  The naive kernels with an ``omp simd`` loop run
+again at two widths: one with an 8-lane vector body and a 5-element
+scalar remainder, and one below a vector, so each path of the loop
+ends flush against the guard page.
 """
 
 import ctypes
@@ -67,9 +71,18 @@ def guarded(count: int, trailing: bool) -> np.ndarray:
     return region[start : start + nbytes].view(np.float32)
 
 
-def _zoo_case(pipeline: str, schedule: str, vec: int):
+#: Naive kernels whose output loop the C printer marks ``omp simd``.
+SIMD_NAIVE = ("harris", "gaussian-blur", "sobel-magnitude", "unsharp-mask", "box-blur")
+
+#: Output widths: ``m % 8 == 5`` and ``m < 8``.
+SIMD_WIDTHS = (13, 5)
+
+
+def _zoo_case(pipeline: str, schedule: str, vec: int, m: int | None = None):
     spec = registry.get(pipeline)
     sizes = spec.concrete_sizes(CHUNK, vec, STRIP)
+    if m is not None:
+        sizes["m"] = m
     compiled = repro.compile(
         "zoo",
         options={
@@ -93,6 +106,11 @@ CASES = (
     [pytest.param(_zoo_case, (p, s, VEC), id=f"{p}-{s}-v{VEC}") for p, s in MATRIX]
     + [pytest.param(_zoo_case, (p, s, 8), id=f"{p}-{s}-v8") for p, s in VEC8_MATRIX]
     + [pytest.param(_baseline_case, (name,), id=name) for name in BASELINES]
+    + [
+        pytest.param(_zoo_case, (p, "naive", VEC, m), id=f"{p}-naive-m{m}")
+        for p in SIMD_NAIVE
+        for m in SIMD_WIDTHS
+    ]
 )
 
 

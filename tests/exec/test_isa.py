@@ -1,8 +1,8 @@
 """The ISA-level flag policy of C builds (``cbridge.effective_cflags``).
 
 On a CPU that runs ``x86-64-v3`` every C build adds ``-march=x86-64-v3``
-before the engine keys it; anywhere else the flags, and therefore the
-keys, are exactly the OpenMP decision alone.  The probe is forced to
+and its epilogue param before the engine keys it; anywhere else the
+flags, and therefore the keys, are exactly the OpenMP decision alone.  The probe is forced to
 each answer here, so these tests hold on any host; only the bit-equality
 check needs a real v3 CPU.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from repro.engine import CompileRequest, Engine
 from repro.exec import cbridge
-from repro.exec.cbridge import ISA_FLAG, OPENMP_FLAG, Toolchain
+from repro.exec.cbridge import EPILOGUE_FLAG, ISA_FLAG, OPENMP_FLAG, Toolchain
 from repro.pipelines import registry
 from repro.rise import Identifier, array, f32
 from repro.rise.dsl import fun, lit, map_seq
@@ -25,6 +25,9 @@ pytestmark = pytest.mark.requires_gcc
 
 #: The flags every C build resolved to before the ISA policy existed.
 PRE_POLICY_FLAGS = ("-O2", OPENMP_FLAG) if cbridge.openmp_available() else ("-O2",)
+
+#: What the policy appends at level 3 and above.
+LEVEL_THREE_TAIL = (ISA_FLAG, EPILOGUE_FLAG)
 
 #: A fixed zoo request, keyed without building anything.
 ZOO_REQUEST = CompileRequest(
@@ -106,7 +109,7 @@ class TestLevelThree:
     def test_flag_appended_exactly_once(self, monkeypatch, level):
         _forced(monkeypatch, level)
         flags = cbridge.effective_cflags()
-        assert flags == PRE_POLICY_FLAGS + (ISA_FLAG,)
+        assert flags == PRE_POLICY_FLAGS + LEVEL_THREE_TAIL
         assert cbridge.effective_cflags(("-O3", ISA_FLAG)).count(ISA_FLAG) == 1
 
     @pytest.mark.parametrize("flags", [("-O2",), ("-O3", "-g"), ("-O2", OPENMP_FLAG), ()])
@@ -119,7 +122,7 @@ class TestLevelThree:
     def test_callers_target_wins(self, monkeypatch, target):
         _forced(monkeypatch, 3)
         flags = cbridge.effective_cflags(("-O2", target))
-        assert ISA_FLAG not in flags
+        assert ISA_FLAG not in flags and EPILOGUE_FLAG not in flags
         assert flags[:2] == ("-O2", target)
 
     def test_a_resolved_request_keys_the_same(self, monkeypatch):
@@ -127,7 +130,7 @@ class TestLevelThree:
         _forced(monkeypatch, 3)
         engine = Engine()
         resolved, key = engine._keyed(ZOO_REQUEST)
-        assert resolved.cflags == PRE_POLICY_FLAGS + (ISA_FLAG,)
+        assert resolved.cflags == PRE_POLICY_FLAGS + LEVEL_THREE_TAIL
         assert engine._keyed(resolved) == (resolved, key)
 
     def test_a_resolved_build_never_probes(self, monkeypatch, tmp_path):
@@ -213,15 +216,23 @@ class TestStoreAcrossLevels:
     cbridge.toolchain().isa_level < 3, reason="needs a CPU that runs x86-64-v3"
 )
 @pytest.mark.parametrize(
-    "pipeline, schedule",
-    [("harris", "cbuf-rot"), ("gaussian-blur", "cbuf-rot"), ("box-blur", "cbuf-rot-par")],
+    "pipeline, schedule, m",
+    [
+        pytest.param(p, s, None, id=f"{p}-{s}")
+        for p, s in [("harris", "cbuf-rot"), ("gaussian-blur", "cbuf-rot"), ("box-blur", "cbuf-rot-par")]
+    ]
+    # an ``omp simd`` loop: one 8-lane (three 4-lane) vector
+    # iterations, then the scalar remainder
+    + [pytest.param("harris", "naive", 13, id="harris-naive-m13")],
 )
-def test_v3_outputs_are_bit_equal_to_baseline(pipeline, schedule):
+def test_v3_outputs_are_bit_equal_to_baseline(pipeline, schedule, m):
     spec = registry.get(pipeline)
     program = registry.build_zoo_program(pipeline, schedule)
     sizes = spec.concrete_sizes(
         registry.DEFAULT_CHUNK, registry.DEFAULT_VEC, registry.DEFAULT_STRIP
     )
+    if m is not None:
+        sizes["m"] = m
     inputs = spec.make_inputs(sizes, seed=5)
     flag_sets = (PRE_POLICY_FLAGS, PRE_POLICY_FLAGS + (ISA_FLAG,))
     with ThreadPoolExecutor(len(flag_sets)) as pool:  # the two gcc runs overlap
