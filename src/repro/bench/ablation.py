@@ -18,8 +18,7 @@ from repro.elevate.core import apply_once, normalize, try_
 from repro.image import PAPER_IMAGE_SMALL
 from repro.perf.cost import estimate_runtime_ms
 from repro.perf.machines import CORTEX_A53, Machine
-from repro.pipelines import harris, harris_input_type
-from repro.rise.expr import Identifier
+from repro.pipelines import registry
 from repro.rules.conv import rotate_values_consume, separate_conv_line, separate_conv_line_zip
 from repro.strategies import Schedule
 from repro.strategies.harris import (
@@ -107,11 +106,11 @@ def ablation_variants(type_env, chunk: int = 32, vec: int = 4) -> dict[str, Sche
 
 @lru_cache(maxsize=2)
 def _compiled_variants(chunk: int = 32, vec: int = 4):
-    rgb = Identifier("rgb")
-    senv = {"rgb": harris_input_type()}
+    spec = registry.get("harris")
+    senv = spec.type_env()
     out = {}
     for name, sched in ablation_variants(senv, chunk, vec).items():
-        low = sched.apply(harris(rgb))
+        low = sched.apply(spec.expr())
         out[name] = compile_program(low, senv, sched.name.replace("-", "_"))
     return out
 
@@ -125,7 +124,7 @@ def run_ablation(
     programs = _compiled_variants(chunk, vec)
     sizes = padded_sizes(PAPER_IMAGE_SMALL, chunk, vec)
     times = {
-        name: estimate_runtime_ms(prog, sizes, machine, "opencl").runtime_ms
+        name: estimate_runtime_ms(prog, sizes, machine, registry.RISE_KIND).runtime_ms
         for name, prog in programs.items()
     }
     full = times["full (cbuf+rot)"]

@@ -1,7 +1,10 @@
 """The evaluation harness: compiles every implementation once and
 regenerates the paper's figures and in-text claims (DESIGN.md E1-E7).
 
-All implementations are compiled with symbolic sizes, validated for
+Fig. 8 is the Harris slice of the zoo grid: each implementation is a
+schedule of the registry's ``harris`` spec, compiled through the same
+``"zoo"`` requests as :func:`repro.bench.zoo.zoo_grid`.  All
+implementations are compiled with symbolic sizes, validated for
 correctness elsewhere (tests + PSNR bench), and costed on the modeled ARM
 CPUs.  Because the paper's split factor (32) requires divisible sizes,
 image sizes are rounded up to the split/vector granularity — the rounding
@@ -16,14 +19,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.codegen.ir import ImpProgram
+from repro.bench.zoo import zoo_request
 from repro.engine import Engine, default_engine
 from repro.image import ImageSpec, PAPER_IMAGE_LARGE, PAPER_IMAGE_SMALL
 from repro.perf.cost import CostReport, estimate_runtime_ms
 from repro.perf.machines import ALL_MACHINES, Machine
-from repro.pipelines import harris, harris_input_type
-from repro.rise.expr import Identifier
-from repro.strategies import cbuf_rrot_version, cbuf_version
+from repro.pipelines import registry
 
 __all__ = [
     "IMPLEMENTATIONS",
@@ -36,17 +37,23 @@ __all__ = [
     "run_report",
 ]
 
-#: Implementation name -> runtime kind charged for kernel launches.
+#: Fig. 8 implementation label (the ledger's cell name) -> the schedule
+#: of the registry's ``harris`` spec that implements it.
 IMPLEMENTATIONS = {
-    "OpenCV": "library",
-    "Lift": "opencl",
-    "Halide": "native",
-    "RISE (cbuf)": "opencl",
-    "RISE (cbuf+rot)": "opencl",
+    "OpenCV": "opencv",
+    "Lift": "lift",
+    "Halide": "halide",
+    "RISE (cbuf)": "cbuf",
+    "RISE (cbuf+rot)": "cbuf-rot",
 }
 
 DEFAULT_CHUNK = 32
 DEFAULT_VEC = 4
+
+
+def _kind(implementation: str) -> str:
+    """The runtime kind the cost model charges one implementation."""
+    return registry.get("harris").runtime_kind(IMPLEMENTATIONS[implementation])
 
 
 @lru_cache(maxsize=4)
@@ -56,31 +63,14 @@ def compile_all(
     engine: Engine | None = None,
 ):
     """Compile every implementation of the Harris operator through the
-    engine (content-addressed compile cache; ``lru_cache`` additionally
+    engine, as the zoo grid's ``"zoo"`` requests at ``chunk``/``vec``
+    (content-addressed compile cache; ``lru_cache`` additionally
     memoizes the assembled dict per parameter set)."""
     eng = engine if engine is not None else default_engine()
-    rgb = Identifier("rgb")
-    senv = {"rgb": harris_input_type()}
-    high = harris(rgb)
-    programs: dict[str, ImpProgram] = {}
-    programs["OpenCV"] = eng.compile("harris-opencv", options={"vec": vec}).program
-    programs["Lift"] = eng.compile("harris-lift", options={"vec": vec}).program
-    programs["Halide"] = eng.compile(
-        "harris-halide", options={"vec": vec, "split": chunk}
-    ).program
-    programs["RISE (cbuf)"] = eng.compile(
-        high,
-        strategy=cbuf_version(senv, chunk=chunk, vec=vec),
-        type_env=senv,
-        name="rise_cbuf",
-    ).program
-    programs["RISE (cbuf+rot)"] = eng.compile(
-        high,
-        strategy=cbuf_rrot_version(senv, chunk=chunk, vec=vec),
-        type_env=senv,
-        name="rise_cbuf_rrot",
-    ).program
-    return programs
+    return {
+        label: eng.compile_request(zoo_request("harris", schedule, chunk, vec)).program
+        for label, schedule in IMPLEMENTATIONS.items()
+    }
 
 
 def padded_sizes(spec: ImageSpec, chunk: int = DEFAULT_CHUNK, vec: int = DEFAULT_VEC) -> dict[str, int]:
@@ -118,9 +108,7 @@ def fig8_grid(
         for image in images:
             sizes = padded_sizes(image, chunk, vec)
             for name, prog in programs.items():
-                report = estimate_runtime_ms(
-                    prog, sizes, machine, IMPLEMENTATIONS[name]
-                )
+                report = estimate_runtime_ms(prog, sizes, machine, _kind(name))
                 cells.append(
                     Fig8Cell(machine.name, image.name, name, report.runtime_ms, report)
                 )
@@ -135,9 +123,7 @@ def fig1_normalized(chunk: int = DEFAULT_CHUNK, vec: int = DEFAULT_VEC) -> dict[
     programs = compile_all(chunk, vec)
     sizes = padded_sizes(PAPER_IMAGE_SMALL, chunk, vec)
     times = {
-        name: estimate_runtime_ms(
-            programs[name], sizes, CORTEX_A53, IMPLEMENTATIONS[name]
-        ).runtime_ms
+        name: estimate_runtime_ms(programs[name], sizes, CORTEX_A53, _kind(name)).runtime_ms
         for name in ("Lift", "Halide", "RISE (cbuf+rot)")
     }
     halide = times["Halide"]
@@ -217,9 +203,6 @@ def run_report(
         save_trace,
         tracing,
     )
-    from repro.strategies.schedules import cbuf_rrot_version as rrot
-    from repro.strategies.schedules import cbuf_version as cbuf
-
     reset_registry()
     report = RunReport(name="harris-bench")
     report.environment = {
@@ -230,10 +213,10 @@ def run_report(
         "seed": seed,
     }
 
-    rgb = Identifier("rgb")
-    senv = {"rgb": harris_input_type()}
-    high = harris(rgb)
-    for schedule in (cbuf(senv, chunk=chunk, vec=vec), rrot(senv, chunk=chunk, vec=vec)):
+    spec = registry.get("harris")
+    high = spec.expr()
+    for name in ("cbuf", "cbuf-rot"):
+        schedule = spec.schedule(name, chunk=chunk, vec=vec)
         collector = TraceCollector()
         with tracing(collector):
             steps = schedule.apply_traced(high)
@@ -253,12 +236,8 @@ def run_report(
         # Warm pass: every implementation must now be served from the cache.
         compile_all.__wrapped__(chunk, vec, eng)
         n, m = height - 4, width - 4
-        pipeline = eng.compile(
-            high,
-            strategy=rrot(senv, chunk=chunk, vec=vec),
-            type_env=senv,
-            name="rise_cbuf_rrot",
-            sizes={"n": n, "m": m},
+        pipeline = eng.compile_request(
+            zoo_request("harris", "cbuf-rot", chunk, vec, sizes={"n": n, "m": m})
         )
         batch = pipeline.run_batch(
             [{"rgb": synthetic_rgb(height, width, seed=seed + i)} for i in range(batch_items)],

@@ -10,8 +10,8 @@ every modeled ARM CPU.  The result is one trajectory cell per
 
     zoo|<pipeline>|<schedule>|<machine>
 
-plus ``zoo|<pipeline>|<baseline>|<machine>`` cells for pipelines with
-registered external baselines (Harris: Halide, OpenCV, Lift).  Zoo
+including the baseline schedules of pipelines that register external
+implementations (Harris: ``halide``, ``opencv``, ``lift``).  Zoo
 cells ride into ``BENCH_trajectory.json`` through the same sample
 mechanism as the fig. 8 grid and, like them, are deterministic
 cost-model outputs gated by the regression comparison.
@@ -29,14 +29,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.bench.regress import ZOO_CELL_PREFIX
-from repro.engine import Engine, default_engine
+from repro.engine import CompileRequest, Engine, default_engine
 from repro.perf.cost import CostReport, estimate_runtime_ms
 from repro.perf.machines import ALL_MACHINES, Machine
 from repro.pipelines import registry
 
 __all__ = [
     "ZOO_CELL_PREFIX",
-    "BASELINE_KINDS",
     "DEFAULT_ZOO_CHUNK",
     "DEFAULT_ZOO_VEC",
     "DEFAULT_ZOO_STRIP",
@@ -44,6 +43,7 @@ __all__ = [
     "DEFAULT_PSNR_FLOOR_DB",
     "ZooCell",
     "SmokeRow",
+    "zoo_request",
     "zoo_grid",
     "zoo_cells",
     "zoo_smoke",
@@ -68,13 +68,6 @@ DEFAULT_ZOO_SIZES = {"n": 64, "m": 64}
 #: miscompile lands far below.
 DEFAULT_PSNR_FLOOR_DB = 80.0
 
-#: Runtime kind charged per external baseline (mirrors
-#: :data:`repro.bench.harness.IMPLEMENTATIONS`); RISE schedules are
-#: charged as ``"opencl"`` kernels like the harness's RISE rows.
-BASELINE_KINDS = {"halide": "native", "opencv": "library", "lift": "opencl"}
-
-_RISE_KIND = "opencl"
-
 
 @dataclass
 class ZooCell:
@@ -92,12 +85,27 @@ class ZooCell:
         return f"{ZOO_CELL_PREFIX}{self.pipeline}|{self.schedule}|{self.machine}"
 
 
-def _baseline_request(baseline: str, chunk: int, vec: int) -> tuple[str, dict, str]:
-    """(short name, engine options, runtime kind) of one baseline builder."""
-    short = baseline.rsplit("-", 1)[-1]
-    kind = BASELINE_KINDS.get(short, _RISE_KIND)
-    options = {"vec": vec, "split": chunk} if short == "halide" else {"vec": vec}
-    return short, options, kind
+def zoo_request(
+    pipeline: str,
+    schedule: str,
+    chunk: int = DEFAULT_ZOO_CHUNK,
+    vec: int = DEFAULT_ZOO_VEC,
+    strip: int = DEFAULT_ZOO_STRIP,
+    **fields,
+) -> CompileRequest:
+    """The ``"zoo"`` request for one kernel of the grid; ``fields`` are
+    further request fields (``backend``, ``sizes``)."""
+    return CompileRequest(
+        source="zoo",
+        options={
+            "pipeline": pipeline,
+            "schedule": schedule,
+            "chunk": chunk,
+            "vec": vec,
+            "strip": strip,
+        },
+        **fields,
+    )
 
 
 def zoo_grid(
@@ -114,9 +122,9 @@ def zoo_grid(
     Schedules that do not structurally apply to a pipeline (per the
     registry's probe) are skipped rather than costed as silent no-ops —
     a ``zoo|pyramid|cbuf-rot|...`` cell would model the *naive* program
-    and misread as rotation speedup.  Baseline builders registered on a
-    spec (Harris: Halide/OpenCV/Lift) are costed alongside under their
-    own runtime kinds.
+    and misread as rotation speedup.  A spec's baseline schedules
+    (Harris: Halide/OpenCV/Lift) are costed alongside under their own
+    runtime kinds.
     """
     eng = engine if engine is not None else default_engine()
     machines = machines or ALL_MACHINES
@@ -125,26 +133,14 @@ def zoo_grid(
     for name in pipelines or registry.names():
         spec = registry.get(name)
         reports = registry.applicable_schedules(spec, chunk=chunk, vec=vec, strip=strip)
-        programs: dict[tuple[str, str], object] = {}
-        for sched_name, report in reports.items():
-            if not report.applies:
-                continue
-            prog = eng.compile(
-                "zoo",
-                options={
-                    "pipeline": name,
-                    "schedule": sched_name,
-                    "chunk": chunk,
-                    "vec": vec,
-                    "strip": strip,
-                },
-            ).program
-            programs[(sched_name, _RISE_KIND)] = prog
-        for baseline in spec.baselines:
-            short, options, kind = _baseline_request(baseline, chunk, vec)
-            programs[(short, kind)] = eng.compile(baseline, options=options).program
+        schedules = [s for s, r in reports.items() if r.applies] + list(spec.baselines)
+        programs = {
+            s: eng.compile_request(zoo_request(name, s, chunk, vec, strip)).program
+            for s in schedules
+        }
         for machine in machines:
-            for (label, kind), prog in programs.items():
+            for label, prog in programs.items():
+                kind = spec.runtime_kind(label)
                 report = estimate_runtime_ms(prog, sizes, machine, kind)
                 cells.append(
                     ZooCell(name, label, machine.name, report.runtime_ms, report)
@@ -221,17 +217,10 @@ def zoo_smoke(
         inputs = spec.make_inputs(sizes, seed=seed)
         expected = spec.reference_output(inputs)
         for backend in backends:
-            pipeline = eng.compile(
-                "zoo",
-                options={
-                    "pipeline": name,
-                    "schedule": schedule,
-                    "chunk": chunk,
-                    "vec": vec,
-                    "strip": strip,
-                },
-                backend=backend,
-                sizes=sizes,
+            pipeline = eng.compile_request(
+                zoo_request(
+                    name, schedule, chunk, vec, strip, backend=backend, sizes=sizes
+                )
             )
             out = pipeline.run(**inputs).reshape(expected.shape)
             db = psnr(expected, out)

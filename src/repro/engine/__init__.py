@@ -41,12 +41,10 @@ from repro.engine.hashing import (
 )
 from repro.engine.memo import Memo
 from repro.engine.pipeline import (
-    BUILDER_REGISTRY,
     CompiledPipeline,
     Engine,
     compile,
     default_engine,
-    register_builder,
     reset_default_engine,
 )
 from repro.engine.request import BACKENDS, CompileRequest
@@ -64,8 +62,6 @@ __all__ = [
     "Engine",
     "default_engine",
     "reset_default_engine",
-    "register_builder",
-    "BUILDER_REGISTRY",
     "BatchRunner",
     "BatchResult",
     "EngineCache",

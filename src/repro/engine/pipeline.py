@@ -8,8 +8,10 @@ or the equivalent keywords, over three kinds of source:
 * a high-level RISE :class:`~repro.rise.expr.Expr` plus an optional
   optimization strategy/:class:`~repro.strategies.schedules.Schedule`;
 * an already-lowered :class:`~repro.codegen.ir.ImpProgram`;
-* the registered name of a baseline builder (``"harris-halide"``,
-  ``"harris-opencv"``, ``"harris-lift"``).
+* the name ``"zoo"``, whose ``options`` name a registered pipeline and
+  one of its schedules (family or baseline, e.g. ``{"pipeline":
+  "harris", "schedule": "halide"}``), built by
+  :func:`repro.pipelines.registry.build_zoo_program`.
 
 Every compile is content-addressed (see :mod:`repro.engine.hashing`) and
 served through an :class:`~repro.engine.cache.EngineCache`: a warm call
@@ -27,7 +29,6 @@ generated source and reports its own cache provenance via ``.report()``.
 from __future__ import annotations
 
 import contextlib
-import importlib
 import json
 import threading
 import time
@@ -59,26 +60,7 @@ __all__ = [
     "compile",
     "default_engine",
     "reset_default_engine",
-    "register_builder",
-    "BUILDER_REGISTRY",
 ]
-
-#: Builder name -> (module, attribute) of a zero-setup program builder.
-#: Lazily imported so the engine has no import-time dependency on the
-#: baseline compiler packages (which themselves route through the engine).
-BUILDER_REGISTRY: dict[str, tuple[str, str]] = {
-    "harris-halide": ("repro.halide.harris", "build_harris_halide_program"),
-    "harris-opencv": ("repro.opencv.pipeline", "build_harris_opencv_program"),
-    "harris-lift": ("repro.lift.compile", "build_harris_lift_program"),
-    # Any registered zoo pipeline under any named schedule, addressed by
-    # options: {"pipeline": <registry name>, "schedule": <family name>}.
-    "zoo": ("repro.pipelines.registry", "build_zoo_program"),
-}
-
-
-def register_builder(name: str, module: str, attribute: str) -> None:
-    """Register a named program builder usable as ``repro.compile(name)``."""
-    BUILDER_REGISTRY[name] = (module, attribute)
 
 
 class _Flight:
@@ -339,8 +321,8 @@ class Engine:
         keywords assembled into a request internally: a RISE expression
         (give ``type_env``, and optionally a ``strategy``/Schedule applied
         before lowering), an already lowered :class:`~repro.codegen.ir.
-        ImpProgram`, or a registered builder name (``options`` are its
-        keyword arguments).  ``sizes`` binds default run-time sizes; it
+        ImpProgram`, or ``"zoo"`` (``options`` name the registered
+        pipeline and schedule).  ``sizes`` binds default run-time sizes; it
         never affects the cache key.
 
         ``threads`` pins a default thread count for ``PARALLEL`` loops on
@@ -613,13 +595,14 @@ class Engine:
             )
         raise TypeError(
             f"cannot compile {type(source).__name__}: expected a RISE Expr, "
-            "an ImpProgram, or a registered builder name"
+            "an ImpProgram, or the name \"zoo\""
         )
 
     def _build_program(self, request: CompileRequest) -> ImpProgram:
         """Lower one request's source into an :class:`ImpProgram`.
 
-        Each layer opens its own span (``elevate.rewrite`` here,
+        Each layer opens its own span (``elevate.rewrite`` here or in
+        :func:`~repro.pipelines.registry.build_zoo_program`,
         ``codegen.lower`` in :func:`~repro.codegen.lower.compile_program`)
         so a cold compile's span tree shows where the time went.
         """
@@ -627,14 +610,13 @@ class Engine:
         if isinstance(source, ImpProgram):
             return source
         if isinstance(source, str):
-            try:
-                module_name, attribute = BUILDER_REGISTRY[source]
-            except KeyError:
-                known = ", ".join(sorted(BUILDER_REGISTRY))
-                raise KeyError(f"no builder {source!r} (known: {known})") from None
-            builder = getattr(importlib.import_module(module_name), attribute)
+            if source != "zoo":
+                raise KeyError(f"no source {source!r}: the only named source is 'zoo'")
+            # imported lazily: the registry pulls in every pipeline and baseline
+            from repro.pipelines.registry import build_zoo_program
+
             with span("engine.build", builder=source):
-                return builder(**dict(request.options or {}))
+                return build_zoo_program(**dict(request.options or {}))
         program = source
         if strategy is not None:
             with span("elevate.rewrite", strategy=strategy_identity(strategy)):

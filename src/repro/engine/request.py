@@ -13,6 +13,10 @@ them, so the two call styles are exactly equivalent::
                          type_env=env, sizes={"n": 32, "m": 64})
     pipeline = repro.compile(req)          # ... == repro.compile(harris(rgb), ...)
 
+A registered pipeline is named by plain data instead: ``source="zoo"``
+with ``options={"pipeline": "harris", "schedule": "cbuf"}`` (any family
+schedule or baseline of the :mod:`registry <repro.pipelines.registry>`).
+
 Validation happens eagerly in ``__post_init__`` — a malformed request
 fails at construction time on the caller's stack, not deep inside a
 server worker where the traceback helps nobody.
@@ -51,14 +55,15 @@ class CompileRequest:
     Fields mirror the keywords of :meth:`repro.engine.Engine.compile`:
 
     * ``source`` — a RISE :class:`~repro.rise.expr.Expr`, an
-      :class:`~repro.codegen.ir.ImpProgram`, or a registered builder name;
+      :class:`~repro.codegen.ir.ImpProgram`, or the name ``"zoo"``;
     * ``strategy`` — optional ELEVATE strategy / Schedule applied before
       lowering (RISE sources only);
     * ``backend`` — ``"python"`` or ``"c"``;
     * ``sizes`` — default run-time size bindings (never part of the key);
     * ``type_env`` — free-identifier types for RISE sources;
     * ``name`` — program name for generated code;
-    * ``options`` — builder keyword arguments (builder sources only);
+    * ``options`` — the ``"zoo"`` source's pipeline, schedule and grid
+      (``chunk``/``vec``/``strip``);
     * ``cflags`` — C compiler flags (C backend only);
     * ``threads`` — default thread count for ``PARALLEL`` loops;
     * ``request_id`` — correlation identity for observability
@@ -86,8 +91,8 @@ class CompileRequest:
         """Validate field shapes eagerly; raises ``TypeError``/``ValueError``."""
         if not isinstance(self.source, (Expr, ImpProgram, str)):
             raise TypeError(
-                f"source must be a RISE Expr, an ImpProgram, or a registered "
-                f"builder name, got {type(self.source).__name__}"
+                f"source must be a RISE Expr, an ImpProgram, or the name "
+                f"'zoo', got {type(self.source).__name__}"
             )
         if isinstance(self.source, str) and not self.source:
             raise ValueError("builder-name source must be non-empty")

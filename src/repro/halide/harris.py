@@ -26,7 +26,7 @@ from repro.image.reference import GRAY_WEIGHTS, HARRIS_KAPPA, SOBEL_X, SOBEL_Y
 __all__ = ["build_harris_funcs", "build_harris_halide_program"]
 
 
-def build_harris_funcs(vec: int = 4, split: int = 32):
+def build_harris_funcs(vec: int = 4, chunk: int = 32):
     """Construct the algorithm + reference schedule; returns (output, input)."""
     x, y = HVar("x"), HVar("y")
     rgb = ImageParam("rgb", channels=3)
@@ -82,7 +82,7 @@ def build_harris_funcs(vec: int = 4, split: int = 32):
 
     # ---- the reference schedule (listing 4) -----------------------------
     yo, yi = HVar("y"), HVar("yi")
-    output.split(y, yo, yi, split).parallel(yo).vectorize(x, vec)
+    output.split(y, yo, yi, chunk).parallel(yo).vectorize(x, vec)
     gray.store_at(output, yo).compute_at(output, yi).vectorize(x, vec)
     iy.store_at(output, yo).compute_at(output, yi).vectorize(x, vec)
     ix.store_at(output, yo).compute_at(output, yi).vectorize(x, vec)
@@ -91,14 +91,15 @@ def build_harris_funcs(vec: int = 4, split: int = 32):
     return output, rgb
 
 
-def build_harris_halide_program(vec: int = 4, split: int = 32) -> ImpProgram:
+def build_harris_halide_program(chunk: int = 32, vec: int = 4) -> ImpProgram:
     """The Halide baseline compiled to an imperative program with symbolic
-    output sizes n x m (input [3][n+4][m+4]).
+    output sizes n x m (input [3][n+4][m+4]); ``chunk`` is the row split.
 
-    Registered with the engine as the ``"harris-halide"`` builder:
-    ``repro.compile("harris-halide", options={"vec": 4, "split": 32})``.
+    The ``"halide"`` schedule of the registry's ``harris`` spec:
+    ``repro.compile("zoo", options={"pipeline": "harris",
+    "schedule": "halide", "chunk": 32, "vec": 4})``.
     """
-    output, rgb = build_harris_funcs(vec=vec, split=split)
+    output, rgb = build_harris_funcs(vec=vec, chunk=chunk)
     n, m = nat("n"), nat("m")
     return compile_halide(
         output,

@@ -90,10 +90,11 @@ def _lift_operator_schedule(value: Expr, type_env, vec: int) -> Expr:
     return lowered
 
 
-def build_harris_lift_program(vec: int = 4) -> ImpProgram:
+def build_harris_lift_program(chunk: int = 32, vec: int = 4) -> ImpProgram:
     """The Harris pipeline compiled LIFT-style (multi-kernel).
 
-    Registered with the engine as the ``"harris-lift"`` builder.
+    The ``"lift"`` schedule of the registry's ``harris`` spec.  One
+    kernel per operator does not tile rows, so ``chunk`` is unused.
     """
     from repro.pipelines import harris, harris_input_type
 

@@ -65,10 +65,11 @@ def _idx2(y: IExpr, x: IExpr, width: Nat) -> IExpr:
     return idx_add(idx_mul(y, nat_expr(width)), x)
 
 
-def build_harris_opencv_program(vec: int = 4) -> ImpProgram:
+def build_harris_opencv_program(chunk: int = 32, vec: int = 4) -> ImpProgram:
     """cvtColor -> Sobel x2 -> cov (AoS) -> boxFilter(3ch) -> response.
 
-    Registered with the engine as the ``"harris-opencv"`` builder.
+    The ``"opencv"`` schedule of the registry's ``harris`` spec.  The
+    library calls do not tile rows, so ``chunk`` is unused.
     """
     n, m = nat("n"), nat("m")
     rows, cols = n + 4, m + 4  # gray size

@@ -15,17 +15,20 @@ needs:
 * the **named schedules** that structurally apply to it —
   *detected* by applying each schedule and inspecting the lowered
   program for its characteristic patterns (circular buffers, rotating
-  registers, thread strips), never asserted per pipeline.
+  registers, thread strips), never asserted per pipeline;
+* its external **baselines** (Harris: Halide, OpenCV, Lift), which are
+  further schedule names of the same spec.
 
-The registry also backs the engine's registered-builder source: the
-``"zoo"`` builder (:func:`build_zoo_program`) compiles
+The registry is the only way to name a pipeline: the engine's ``"zoo"``
+source (:func:`build_zoo_program`) compiles
 ``repro.compile("zoo", options={"pipeline": ..., "schedule": ...})``
-for any registered pipeline, so serving and AOT prebuilds address zoo
-kernels by name exactly like the Harris baselines.
+for any registered pipeline under any family schedule or baseline, so
+the benchmark, serving and AOT prebuilds all address kernels this way.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -51,6 +54,7 @@ from repro.strategies.schedules import (
 __all__ = [
     "SCHEDULE_NAMES",
     "DEFAULT_SCHEDULE",
+    "RISE_KIND",
     "PipelineSpec",
     "ScheduleReport",
     "REGISTRY",
@@ -70,6 +74,10 @@ SCHEDULE_NAMES = ("naive", "cbuf", "cbuf-rot", "cbuf-par", "cbuf-rot-par")
 #: Schedule used when a caller does not pick one (the listing-5 ladder
 #: rung that applies to every current pipeline).
 DEFAULT_SCHEDULE = "naive"
+
+#: Cost-model runtime kind of the schedule family (baselines carry their
+#: own in :attr:`PipelineSpec.baselines`).
+RISE_KIND = "opencl"
 
 _SCHEDULE_FACTORIES = {
     "naive": lambda env, chunk, vec, strip: naive_version(env),
@@ -128,8 +136,10 @@ class PipelineSpec:
     params: Mapping[str, float] = field(default_factory=dict)
     #: Smallest interesting output extent per dimension.
     floor: int = 8
-    #: Registered-builder names of external baseline implementations.
-    baselines: tuple[str, ...] = ()
+    #: Baseline schedule name -> ``(module, attribute, runtime kind)``:
+    #: an external implementation's ``build(chunk=, vec=) -> ImpProgram``,
+    #: imported lazily, and the kind the cost model charges it.
+    baselines: Mapping[str, tuple[str, str, str]] = field(default_factory=dict)
 
     def expr(self, **params) -> Expr:
         """The high-level RISE program over its named input."""
@@ -189,6 +199,10 @@ class PipelineSpec:
     ) -> Schedule:
         """A named schedule instantiated for this pipeline's type env."""
         return make_schedule(name, self.type_env(), chunk=chunk, vec=vec, strip=strip)
+
+    def runtime_kind(self, schedule: str) -> str:
+        """The cost model's runtime kind for one of this spec's schedules."""
+        return self.baselines[schedule][2] if schedule in self.baselines else RISE_KIND
 
 
 @dataclass(frozen=True)
@@ -393,7 +407,13 @@ def _register_all() -> None:
                 reference.HARRIS_KAPPA
             ): reference.harris(rgb, kappa=kappa),
             params={"kappa": float(reference.HARRIS_KAPPA)},
-            baselines=("harris-halide", "harris-opencv", "harris-lift"),
+            baselines={
+                "halide": ("repro.halide.harris", "build_harris_halide_program", "native"),
+                "opencv": (
+                    "repro.opencv.pipeline", "build_harris_opencv_program", "library"
+                ),
+                "lift": ("repro.lift.compile", "build_harris_lift_program", "opencl"),
+            },
         )
     )
     register(
@@ -463,7 +483,7 @@ _register_all()
 
 
 # ----------------------------------------------------------------------
-# The engine's registered-builder entry point.
+# The engine's ``"zoo"`` source.
 # ----------------------------------------------------------------------
 
 
@@ -477,17 +497,32 @@ def build_zoo_program(
 ):
     """Builder behind ``repro.compile("zoo", options={...})``.
 
-    Lowers one registered pipeline under one named schedule to an
+    Lowers one registered pipeline under one named schedule — a member
+    of the family or one of the spec's baselines — to an
     :class:`~repro.codegen.ir.ImpProgram`.  All options are plain JSON
-    values, so zoo kernels are addressable — and content-addressed —
-    through :class:`~repro.engine.request.CompileRequest` exactly like
-    the Harris baseline builders.
+    values, so every kernel is addressable, and content-addressed,
+    through :class:`~repro.engine.request.CompileRequest`.  A baseline
+    builder gets the same ``chunk``/``vec`` grid as the family.
     """
     from repro.codegen.lower import compile_program
+    from repro.engine.hashing import strategy_identity
+    from repro.observe.core import span
 
     spec = get(pipeline)
+    if schedule in spec.baselines:
+        module, attribute, _ = spec.baselines[schedule]
+        build = getattr(importlib.import_module(module), attribute)
+        return build(
+            chunk=chunk if chunk is not None else DEFAULT_CHUNK,
+            vec=vec if vec is not None else DEFAULT_VEC,
+            **params,
+        )
+    if schedule not in SCHEDULE_NAMES:
+        known = ", ".join((*SCHEDULE_NAMES, *spec.baselines))
+        raise KeyError(f"no schedule {schedule!r} for {pipeline!r} (known: {known})")
     env = spec.type_env()
     sched = make_schedule(schedule, env, chunk=chunk, vec=vec, strip=strip)
-    lowered = sched.apply(spec.expr(**params))
+    with span("elevate.rewrite", strategy=strategy_identity(sched)):
+        lowered = sched.apply(spec.expr(**params))
     name = f"zoo_{pipeline}_{schedule}".replace("-", "_")
     return compile_program(lowered, env, name)

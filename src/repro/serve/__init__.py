@@ -32,8 +32,7 @@ latency lives in ``benchmarks/e2e`` (the ``serve-mixed`` workload).
 """
 
 from repro.serve.aot import (
-    AOT_MANIFEST, harris_kernel_requests, load_manifest, prebuild,
-    zoo_kernel_requests,
+    AOT_MANIFEST, load_manifest, prebuild, zoo_kernel_requests,
 )
 from repro.serve.server import (
     BuildFailed, BuildTimeout, DeadlineExceeded, Server, ServerBusy, ServerError,
@@ -50,7 +49,6 @@ __all__ = [
     "builds_out_of_process",
     "prebuild",
     "load_manifest",
-    "harris_kernel_requests",
     "zoo_kernel_requests",
     "AOT_MANIFEST",
 ]

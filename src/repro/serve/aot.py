@@ -6,8 +6,9 @@ the C backend) a real compiler invocation.  This module pays that tax
 at *install time* instead — the deployment posture Halide recommends
 for mobile targets ("AOT is generally preferred... commonly used for
 mobile platforms"): :func:`prebuild` compiles a named set of kernels
-(the Harris schedule variants of the paper's evaluation, times the
-available backends) into a shared artifact store, then writes an
+(by default the Harris schedule variants of the paper's evaluation,
+times the available backends; :func:`zoo_kernel_requests` names any
+slice of the pipeline registry) into a shared artifact store, then writes an
 ``aot_manifest.json`` at the store root mapping kernel names to cache
 keys and, for C kernels, to the resolved ``cflags`` they were built
 with (so an install script can see the ISA level a store targets: a
@@ -35,7 +36,6 @@ from repro.engine.request import CompileRequest
 __all__ = [
     "AOT_MANIFEST",
     "MANIFEST_SCHEMA",
-    "harris_kernel_requests",
     "zoo_kernel_requests",
     "prebuild",
     "load_manifest",
@@ -54,60 +54,6 @@ MANIFEST_SCHEMA = "repro.serve.aot/v1"
 DEFAULT_AOT_CHUNK = 4
 
 
-def harris_kernel_requests(
-    backends: Sequence[str] = ("python",),
-    chunk: int | None = None,
-    vec: int | None = None,
-    sizes: dict | None = None,
-) -> list[tuple[str, CompileRequest]]:
-    """The named Harris kernel set: schedule variants x ``backends``.
-
-    Returns ``(kernel_name, request)`` pairs covering the paper's
-    schedule ladder — naive, cbuf (listing 5), cbuf+rot (listing 9) and
-    their strip-parallel forms — one per requested backend.  ``sizes``
-    binds default run sizes on the handles (it never affects keys).
-    """
-    from repro.pipelines import harris, harris_input_type
-    from repro.rise import Identifier
-    from repro.strategies.schedules import (
-        DEFAULT_VEC,
-        cbuf_par_version,
-        cbuf_rrot_par_version,
-        cbuf_rrot_version,
-        cbuf_version,
-        naive_version,
-    )
-
-    chunk = chunk if chunk is not None else DEFAULT_AOT_CHUNK
-    vec = vec if vec is not None else DEFAULT_VEC
-    env = {"rgb": harris_input_type()}
-    expr = harris(Identifier("rgb"))
-    schedules = [
-        ("harris-naive", naive_version(env)),
-        ("harris-cbuf", cbuf_version(env, chunk=chunk, vec=vec)),
-        ("harris-cbuf-rot", cbuf_rrot_version(env, chunk=chunk, vec=vec)),
-        ("harris-cbuf-par", cbuf_par_version(env, chunk=chunk, vec=vec)),
-        ("harris-cbuf-rot-par", cbuf_rrot_par_version(env, chunk=chunk, vec=vec)),
-    ]
-    requests: list[tuple[str, CompileRequest]] = []
-    for backend in backends:
-        for label, schedule in schedules:
-            requests.append(
-                (
-                    f"{label}@{backend}",
-                    CompileRequest(
-                        source=expr,
-                        strategy=schedule,
-                        type_env=env,
-                        backend=backend,
-                        sizes=sizes,
-                        name=label.replace("-", "_"),
-                    ),
-                )
-            )
-    return requests
-
-
 def zoo_kernel_requests(
     backends: Sequence[str] = ("python",),
     chunk: int | None = None,
@@ -122,8 +68,8 @@ def zoo_kernel_requests(
 
     Enumerates the :mod:`pipeline registry <repro.pipelines.registry>`
     and emits one ``(kernel_name, request)`` pair per (pipeline,
-    schedule, backend), addressed through the engine's registered
-    ``"zoo"`` builder so the requests are plain JSON options — exactly
+    schedule, backend), addressed through the engine's ``"zoo"``
+    source so the requests are plain JSON options — exactly
     what a serving process reconstructs.  With ``applicable_only`` (the
     default) only schedules that structurally apply to each pipeline are
     prebuilt; prebuilding a no-op schedule would publish a kernel
@@ -178,15 +124,15 @@ def prebuild(
 ) -> dict:
     """Compile every named kernel into ``cache_dir``; returns the manifest.
 
-    ``requests`` defaults to :func:`harris_kernel_requests` over
-    ``backends``.  Re-running over a warm store is cheap and idempotent:
+    ``requests`` defaults to the Harris set,
+    ``zoo_kernel_requests(backends, pipelines=("harris",))``.  Re-running over a warm store is cheap and idempotent:
     already-published kernels are cache hits, and the manifest records
     per-kernel cache status so an install script can verify that a
     second pass performed zero builds.
     """
     cache_dir = Path(cache_dir)
     if requests is None:
-        requests = harris_kernel_requests(backends=backends)
+        requests = zoo_kernel_requests(backends, pipelines=("harris",))
     eng = engine if engine is not None else Engine(cache_dir=cache_dir)
     kernels = []
     for kernel_name, request in requests:

@@ -8,6 +8,10 @@ from repro.image import synthetic_rgb, reference
 from repro.lift import compile_pipeline_per_operator
 
 
+OPENCV = {"pipeline": "harris", "schedule": "opencv"}
+LIFT = {"pipeline": "harris", "schedule": "lift"}
+
+
 @pytest.fixture(scope="module")
 def image():
     img = synthetic_rgb(16, 20)
@@ -17,12 +21,14 @@ def image():
 class TestOpenCV:
     @pytest.fixture(scope="class")
     def prog(self):
-        return repro.compile("harris-opencv").program
+        return repro.compile("zoo", options=OPENCV).program
 
     def test_correct(self, prog, image):
         img, ref = image
         hwc = np.ascontiguousarray(img.transpose(1, 2, 0))
-        out = repro.compile("harris-opencv", sizes={"n": 12, "m": 16}).run(rgb_hwc=hwc)
+        out = repro.compile("zoo", options=OPENCV, sizes={"n": 12, "m": 16}).run(
+            rgb_hwc=hwc
+        )
         np.testing.assert_allclose(out.reshape(12, 16), ref, rtol=1e-3, atol=1e-4)
 
     def test_one_kernel_per_library_call(self, prog):
@@ -58,11 +64,11 @@ class TestOpenCV:
 class TestLift:
     @pytest.fixture(scope="class")
     def prog(self):
-        return repro.compile("harris-lift").program
+        return repro.compile("zoo", options=LIFT).program
 
     def test_correct(self, prog, image):
         img, ref = image
-        out = repro.compile("harris-lift", sizes={"n": 12, "m": 16}).run(rgb=img)
+        out = repro.compile("zoo", options=LIFT, sizes={"n": 12, "m": 16}).run(rgb=img)
         np.testing.assert_allclose(out.reshape(12, 16), ref, rtol=1e-3, atol=1e-4)
 
     def test_one_kernel_per_operator(self, prog):

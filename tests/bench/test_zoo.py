@@ -9,6 +9,7 @@ not structurally apply), and determinism across runs.
 
 import pytest
 
+from repro.bench.harness import compile_all
 from repro.bench.zoo import (
     DEFAULT_PSNR_FLOOR_DB,
     ZOO_CELL_PREFIX,
@@ -81,6 +82,13 @@ class TestGrid:
         labels = {c.schedule for c in cells}
         assert {"halide", "opencv", "lift"} <= labels
         assert "naive" in labels
+        # fig. 8 is the Harris slice of this grid: the same five kernels
+        before = engine.stats()
+        programs = compile_all.__wrapped__(4, 4, engine)
+        after = engine.stats()
+        assert len(programs) == 5
+        assert after["hits"] - before["hits"] == 5
+        assert after["misses"] == before["misses"]
 
     def test_cells_are_deterministic(self, engine, one_machine):
         a = zoo_cells(pipelines=["box-blur"], engine=engine)

@@ -8,7 +8,6 @@ vectorize the marked loop of harris ``naive``.
 """
 
 import functools
-import importlib
 import re
 
 import pytest
@@ -32,7 +31,6 @@ from repro.codegen.ir import (
     VLoad,
     VStore,
 )
-from repro.engine.pipeline import BUILDER_REGISTRY
 from repro.exec import cbridge
 from repro.nat import nat
 from repro.pipelines import registry
@@ -95,13 +93,10 @@ def test_marked_loop_prints_the_pragma_right_before_it():
 
 
 @functools.lru_cache(maxsize=1)
-def _program(name: str, schedule: str | None):
+def _program(name: str, schedule: str):
     """One program of the census (the last one kept: the gcc test
     and the first census case share harris naive)."""
-    if schedule is not None:
-        return registry.build_zoo_program(name, schedule)
-    module, attribute = BUILDER_REGISTRY[name]
-    return getattr(importlib.import_module(module), attribute)()
+    return registry.build_zoo_program(name, schedule)
 
 
 @pytest.mark.requires_gcc
@@ -131,20 +126,21 @@ def test_gcc_vectorizes_the_marked_loop(tmp_path):
 #: ``#pragma omp simd`` lines per program: each naive kernel's output
 #: loop but pyramid's (its stride-4 gathers), the line-copy loops of the
 #: gaussian-blur and box-blur circular buffers, and one border copy of
-#: harris-opencv.  Every pair or baseline not listed carries none.
+#: harris's opencv baseline.  Every pair or baseline not listed carries none.
 EXPECTED_SIMD = {
     **{(p, "naive"): 1 for p in ("harris", "gaussian-blur", "sobel-magnitude", "unsharp-mask", "box-blur")},
     **{("gaussian-blur", s): 5 for s in registry.SCHEDULE_NAMES if s != "naive"},
     **{("box-blur", s): 3 for s in registry.SCHEDULE_NAMES if s != "naive"},
-    ("harris-opencv", None): 1,
+    ("harris", "opencv"): 1,
 }
 
+#: Every pair of the family, then harris's baselines at the default grid.
 CENSUS = [(p, s) for p in registry.names() for s in registry.SCHEDULE_NAMES] + [
-    (name, None) for name in ("harris-halide", "harris-lift", "harris-opencv")
+    pytest.param("harris", b, id=f"harris-{b}-default") for b in registry.get("harris").baselines
 ]
 
 
-@pytest.mark.parametrize("name, schedule", CENSUS, ids=lambda v: v or "default")
+@pytest.mark.parametrize("name, schedule", CENSUS)
 def test_census(name, schedule):
     lines = program_to_c(_program(name, schedule)).splitlines()
     marked = [k for k, line in enumerate(lines) if line.strip() == "#pragma omp simd"]

@@ -7,7 +7,7 @@ import pytest
 from repro.engine import Engine
 from repro.image import synthetic_rgb, reference
 from repro.observe import compile_profiles, observing
-from repro.pipelines import harris, harris_input_type
+from repro.pipelines import harris, harris_input_type, registry
 from repro.rise import Identifier, array, f32
 from repro.rise.dsl import fun, lit, map_seq
 from repro.strategies import cbuf_version
@@ -80,6 +80,19 @@ class TestColdPath:
         for layer in ("codegen.lower", "codegen.print", "exec.gcc"):
             assert below.count(layer) == 1, below
 
+    def test_zoo_compile_opens_the_same_spans_as_expr_plus_schedule(self):
+        spec = registry.get("box-blur")
+        schedule = spec.schedule("cbuf", chunk=4, vec=4)
+        with observing() as by_expr:
+            Engine().compile(spec.expr(), strategy=schedule, type_env=spec.type_env())
+        with observing() as by_zoo:
+            options = {"pipeline": "box-blur", "schedule": "cbuf", "chunk": 4, "vec": 4}
+            Engine().compile("zoo", options=options)
+        expr_names = [s.name for s in by_expr.flat_spans()]
+        zoo_names = [s.name for s in by_zoo.flat_spans() if s.name != "engine.build"]
+        assert expr_names[:2] == ["engine.compile", "elevate.rewrite"]
+        assert zoo_names == expr_names
+
 
 class TestDiskTier:
     def test_fresh_engine_warm_starts_from_disk(self, tmp_path):
@@ -112,17 +125,19 @@ class TestDiskTier:
 class TestEviction:
     def test_lru_respects_memory_slots(self):
         eng = Engine(memory_slots=1)
-        a = eng.compile("harris-halide", options={"vec": 4, "split": 4})
-        b = eng.compile("harris-opencv", options={"vec": 4})
+        halide = {"pipeline": "harris", "schedule": "halide", "chunk": 4, "vec": 4}
+        opencv = {"pipeline": "harris", "schedule": "opencv", "chunk": 4, "vec": 4}
+        a = eng.compile("zoo", options=halide)
+        b = eng.compile("zoo", options=opencv)
         assert a.key != b.key
         assert eng.stats()["memory_entries"] == 1
         # the evicted builder recompiles: a second miss, not a hit
-        eng.compile("harris-halide", options={"vec": 4, "split": 4})
+        eng.compile("zoo", options=halide)
         assert eng.stats()["misses"] == 3
 
     def test_unknown_builder_and_backend_are_rejected(self):
         eng = Engine()
-        with pytest.raises(KeyError, match="harris-halide"):
+        with pytest.raises(KeyError, match="no-such-builder"):
             eng.compile("no-such-builder")
         with pytest.raises(ValueError, match="backend"):
-            eng.compile("harris-halide", backend="cuda")
+            eng.compile("zoo", backend="cuda")

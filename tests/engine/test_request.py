@@ -14,10 +14,13 @@ from repro.strategies import cbuf_version
 
 SENV = {"rgb": harris_input_type()}
 
+#: The registry's Halide baseline of Harris, at a small grid.
+HALIDE = {"pipeline": "harris", "schedule": "halide", "chunk": 4, "vec": 4}
+
 
 class TestValidation:
     def test_minimal_builder_request(self):
-        req = CompileRequest(source="harris-halide")
+        req = CompileRequest(source="zoo")
         assert req.kind == "builder"
         assert req.backend == "python"
 
@@ -31,7 +34,7 @@ class TestValidation:
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="backend"):
-            CompileRequest(source="harris-halide", backend="cuda")
+            CompileRequest(source="zoo", backend="cuda")
         assert BACKENDS == ("python", "c")
 
     def test_strategy_must_expose_apply(self):
@@ -40,15 +43,15 @@ class TestValidation:
 
     def test_sizes_must_be_positive_ints(self):
         with pytest.raises(ValueError, match="positive int"):
-            CompileRequest(source="harris-halide", sizes={"n": 0})
+            CompileRequest(source="zoo", sizes={"n": 0})
         with pytest.raises(ValueError, match="positive int"):
-            CompileRequest(source="harris-halide", sizes={"n": True})
+            CompileRequest(source="zoo", sizes={"n": True})
         with pytest.raises(TypeError, match="size names"):
-            CompileRequest(source="harris-halide", sizes={3: 4})
+            CompileRequest(source="zoo", sizes={3: 4})
 
     def test_sizes_must_be_a_mapping(self):
         with pytest.raises(TypeError, match="mapping"):
-            CompileRequest(source="harris-halide", sizes=[("n", 4)])
+            CompileRequest(source="zoo", sizes=[("n", 4)])
 
     def test_options_only_for_builders(self):
         with pytest.raises(ValueError, match="builder"):
@@ -56,39 +59,39 @@ class TestValidation:
 
     def test_cflags_rejects_bare_string(self):
         with pytest.raises(TypeError, match="bare string"):
-            CompileRequest(source="harris-halide", cflags="-O2")
+            CompileRequest(source="zoo", cflags="-O2")
 
     def test_cflags_elements_must_be_strings(self):
         with pytest.raises(TypeError, match="cflags"):
-            CompileRequest(source="harris-halide", cflags=("-O2", 3))
+            CompileRequest(source="zoo", cflags=("-O2", 3))
 
     def test_threads_bounds(self):
         with pytest.raises(ValueError, match="threads"):
-            CompileRequest(source="harris-halide", threads=0)
+            CompileRequest(source="zoo", threads=0)
         with pytest.raises(TypeError, match="threads"):
-            CompileRequest(source="harris-halide", threads=True)
+            CompileRequest(source="zoo", threads=True)
 
     def test_name_must_be_string(self):
         with pytest.raises(TypeError, match="name"):
-            CompileRequest(source="harris-halide", name=7)
+            CompileRequest(source="zoo", name=7)
 
 
 class TestImmutability:
     def test_frozen_fields(self):
-        req = CompileRequest(source="harris-halide")
+        req = CompileRequest(source="zoo")
         with pytest.raises(dataclasses.FrozenInstanceError):
             req.backend = "c"
 
     def test_mappings_are_read_only_snapshots(self):
         sizes = {"n": 12, "m": 16}
-        req = CompileRequest(source="harris-halide", sizes=sizes)
+        req = CompileRequest(source="zoo", sizes=sizes)
         sizes["n"] = 99  # caller mutation must not leak in
         assert req.sizes["n"] == 12
         with pytest.raises(TypeError):
             req.sizes["n"] = 1
 
     def test_replace_revalidates(self):
-        req = CompileRequest(source="harris-halide")
+        req = CompileRequest(source="zoo")
         assert req.replace(backend="c").backend == "c"
         with pytest.raises(ValueError, match="backend"):
             req.replace(backend="cuda")
@@ -96,12 +99,12 @@ class TestImmutability:
 
 class TestDerivedViews:
     def test_kind(self):
-        assert CompileRequest(source="harris-halide").kind == "builder"
+        assert CompileRequest(source="zoo").kind == "builder"
         assert CompileRequest(source=harris(Identifier("rgb"))).kind == "expr"
 
     def test_describe_mentions_source_and_backend(self):
-        req = CompileRequest(source="harris-halide", backend="python")
-        assert "harris-halide" in req.describe()
+        req = CompileRequest(source="zoo", backend="python")
+        assert "zoo" in req.describe()
         assert "python" in req.describe()
 
     def test_to_dict_is_json_ready(self):
@@ -140,18 +143,18 @@ class TestEngineIntegration:
 
     def test_report_echoes_the_request(self, fresh_engine):
         pipeline = fresh_engine.compile(
-            CompileRequest(source="harris-halide", options={"vec": 4, "split": 4})
+            CompileRequest(source="zoo", options=HALIDE)
         )
         report = pipeline.report()
-        assert report["request"]["source"] == "harris-halide"
-        assert report["request"]["options"] == {"vec": 4, "split": 4}
+        assert report["request"]["source"] == "zoo"
+        assert report["request"]["options"] == HALIDE
         assert report["cache"] == "miss"
 
     def test_module_compile_accepts_request(self, small_image):
         pipeline = repro.compile(
             CompileRequest(
-                source="harris-halide",
-                options={"vec": 4, "split": 4},
+                source="zoo",
+                options=HALIDE,
                 sizes={"n": 8, "m": 12},
             )
         )

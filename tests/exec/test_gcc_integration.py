@@ -56,7 +56,9 @@ class TestAllImplementationsThroughGcc:
     def test_halide(self, image):
         img, ref = image
         out = repro.compile(
-            "harris-halide", options={"vec": 4, "split": 4}, backend="c",
+            "zoo",
+            options={"pipeline": "harris", "schedule": "halide", "chunk": 4, "vec": 4},
+            backend="c",
             sizes=_sizes(ref),
         ).run(rgb=img)
         np.testing.assert_allclose(out.reshape(ref.shape), ref, rtol=1e-3, atol=1e-4)
@@ -64,7 +66,10 @@ class TestAllImplementationsThroughGcc:
     def test_lift(self, image):
         img, ref = image
         out = repro.compile(
-            "harris-lift", backend="c", sizes=_sizes(ref)
+            "zoo",
+            options={"pipeline": "harris", "schedule": "lift"},
+            backend="c",
+            sizes=_sizes(ref),
         ).run(rgb=img)
         np.testing.assert_allclose(out.reshape(ref.shape), ref, rtol=1e-3, atol=1e-4)
 
@@ -72,7 +77,10 @@ class TestAllImplementationsThroughGcc:
         img, ref = image
         hwc = np.ascontiguousarray(img.transpose(1, 2, 0))
         out = repro.compile(
-            "harris-opencv", backend="c", sizes=_sizes(ref)
+            "zoo",
+            options={"pipeline": "harris", "schedule": "opencv"},
+            backend="c",
+            sizes=_sizes(ref),
         ).run(rgb_hwc=hwc)
         np.testing.assert_allclose(out.reshape(ref.shape), ref, rtol=1e-3, atol=1e-4)
 

@@ -44,12 +44,12 @@ _libc.mprotect.restype = ctypes.c_int
 
 BASELINE_SIZES = {"n": 32, "m": 64}
 
-#: Registered baseline builders and the options the gcc integration
-#: tests compile them with.
+#: Harris's baseline schedules and the grid the gcc integration tests
+#: compile them with.
 BASELINES = {
-    "harris-halide": {"vec": 4, "split": 4},
-    "harris-lift": None,
-    "harris-opencv": None,
+    "halide": {"chunk": 4, "vec": 4},
+    "lift": {},
+    "opencv": {},
 }
 
 
@@ -99,13 +99,14 @@ def _zoo_case(pipeline: str, schedule: str, vec: int, m: int | None = None):
 
 
 def _baseline_case(name: str):
-    return repro.compile(name, options=BASELINES[name], backend="c"), BASELINE_SIZES
+    options = {"pipeline": "harris", "schedule": name, **BASELINES[name]}
+    return repro.compile("zoo", options=options, backend="c"), BASELINE_SIZES
 
 
 CASES = (
     [pytest.param(_zoo_case, (p, s, VEC), id=f"{p}-{s}-v{VEC}") for p, s in MATRIX]
     + [pytest.param(_zoo_case, (p, s, 8), id=f"{p}-{s}-v8") for p, s in VEC8_MATRIX]
-    + [pytest.param(_baseline_case, (name,), id=name) for name in BASELINES]
+    + [pytest.param(_baseline_case, (name,), id=f"harris-{name}") for name in BASELINES]
     + [
         pytest.param(_zoo_case, (p, "naive", VEC, m), id=f"{p}-naive-m{m}")
         for p in SIMD_NAIVE

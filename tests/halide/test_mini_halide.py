@@ -71,12 +71,15 @@ class TestBoundsInference:
             _infer_bounds(out)
 
 
+def _halide(chunk: int) -> dict:
+    """Options of the registry's Halide baseline of Harris."""
+    return {"pipeline": "harris", "schedule": "halide", "chunk": chunk, "vec": 4}
+
+
 class TestHarrisBaseline:
     @pytest.fixture(scope="class")
     def prog(self):
-        return repro.compile(
-            "harris-halide", options={"vec": 4, "split": 4}
-        ).program
+        return repro.compile("zoo", options=_halide(4)).program
 
     def test_single_kernel(self, prog):
         assert len(prog.functions) == 1
@@ -84,7 +87,7 @@ class TestHarrisBaseline:
     def test_correct(self, prog):
         img = synthetic_rgb(16, 20)
         out = repro.compile(
-            "harris-halide", options={"vec": 4, "split": 4}, sizes={"n": 12, "m": 16}
+            "zoo", options=_halide(4), sizes={"n": 12, "m": 16}
         ).run(rgb=img)
         np.testing.assert_allclose(
             out.reshape(12, 16), reference.harris(img), rtol=1e-3, atol=1e-4
@@ -93,7 +96,7 @@ class TestHarrisBaseline:
     def test_other_split(self):
         img = synthetic_rgb(14, 16)
         out = repro.compile(
-            "harris-halide", options={"vec": 4, "split": 2}, sizes={"n": 10, "m": 12}
+            "zoo", options=_halide(2), sizes={"n": 10, "m": 12}
         ).run(rgb=img)
         np.testing.assert_allclose(
             out.reshape(10, 12), reference.harris(img), rtol=1e-3, atol=1e-4

@@ -71,8 +71,8 @@ _RISE = {**_HALIDE, "rise.typecheck": set(), "codegen.emit": {"ir_nodes"}}
 EXPECTED_PROFILES = {
     "opencv_harris": (set(), _OPT),
     "halide_harris": (set(), _HALIDE),
-    "rise_cbuf": ({"rise_nodes"}, _RISE),
-    "rise_cbuf_rrot": ({"rise_nodes"}, _RISE),
+    "zoo_harris_cbuf": ({"rise_nodes"}, _RISE),
+    "zoo_harris_cbuf_rot": ({"rise_nodes"}, _RISE),
 }
 
 

@@ -51,7 +51,7 @@ def small_programs():
     cbuf = compile_program(
         cbuf_version(senv, chunk=4).apply(harris(Identifier("rgb"))), senv, "cbuf"
     )
-    lift = repro.compile("harris-lift").program
+    lift = repro.compile("zoo", options={"pipeline": "harris", "schedule": "lift"}).program
     return cbuf, lift
 
 

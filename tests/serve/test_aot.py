@@ -1,4 +1,5 @@
-"""AOT prebuild: the kernel grid, manifest, and warm-start idempotence."""
+"""AOT prebuild of the default (Harris) set: manifest and warm-start
+idempotence, over one shared cold prebuild."""
 
 import json
 
@@ -12,50 +13,31 @@ from repro.rise import Identifier, array, f32
 from repro.rise.dsl import fun, lit, map_seq
 from repro.serve import (
     AOT_MANIFEST,
-    harris_kernel_requests,
     load_manifest,
     prebuild,
+    zoo_kernel_requests,
 )
 from repro.serve.aot import MANIFEST_SCHEMA
 
 
-class TestKernelGrid:
-    def test_five_schedules_per_backend(self):
-        reqs = harris_kernel_requests(backends=("python",))
-        names = [name for name, _ in reqs]
-        assert len(reqs) == 5
-        assert all(name.endswith("@python") for name in names)
-        assert "harris-cbuf-rot-par@python" in names
-
-    def test_backends_multiply_the_grid(self):
-        reqs = harris_kernel_requests(backends=("python", "c"))
-        assert len(reqs) == 10
-        backends = {req.backend for _, req in reqs}
-        assert backends == {"python", "c"}
-
-    def test_requests_carry_distinct_keys(self, fresh_engine):
-        keys = set()
-        for _, req in harris_kernel_requests(backends=("python",)):
-            keys.add(
-                fresh_engine._key_for(
-                    req.source, req.strategy, req.backend, req.type_env,
-                    req.options, req.cflags, req.threads,
-                )
-            )
-        assert len(keys) == 5
+@pytest.fixture(scope="module")
+def cold(tmp_path_factory):
+    """One cold prebuild of the default (Harris) set: (store, manifest)."""
+    store = tmp_path_factory.mktemp("aot") / "store"
+    return store, prebuild(store)
 
 
 class TestPrebuild:
-    def test_cold_prebuild_builds_everything(self, tmp_path):
-        manifest = prebuild(tmp_path / "store")
+    def test_cold_prebuild_builds_everything(self, cold):
+        store, manifest = cold
         assert manifest["schema"] == MANIFEST_SCHEMA
         assert len(manifest["kernels"]) == 5
+        assert "zoo-harris-cbuf-rot-par@python" in [k["kernel"] for k in manifest["kernels"]]
         assert all(k["cache"] == "miss" for k in manifest["kernels"])
-        assert (tmp_path / "store" / AOT_MANIFEST).is_file()
+        assert (store / AOT_MANIFEST).is_file()
 
-    def test_second_pass_performs_zero_builds(self, tmp_path):
-        store = tmp_path / "store"
-        first = prebuild(store)
+    def test_second_pass_performs_zero_builds(self, cold):
+        store, first = cold
         # a fresh engine, as a new install process would create
         second = prebuild(store)
         assert all(k["cache"] != "miss" for k in second["kernels"]), (
@@ -65,13 +47,12 @@ class TestPrebuild:
             k["key"] for k in second["kernels"]
         ]
 
-    def test_prebuilt_kernels_run_correctly(self, tmp_path):
-        store = tmp_path / "store"
-        prebuild(store)
+    def test_prebuilt_kernels_run_correctly(self, cold):
+        store, _ = cold
         engine = Engine(cache_dir=store)
         img = synthetic_rgb(12, 16, seed=7)
         expected = reference.harris(img)
-        for name, req in harris_kernel_requests(backends=("python",)):
+        for name, req in zoo_kernel_requests(pipelines=("harris",)):
             pipeline = engine.compile_request(req)
             assert pipeline.cache_status in ("hit-disk", "hit-memory"), name
             out = pipeline.run(sizes={"n": 8, "m": 12}, rgb=img)
@@ -82,8 +63,8 @@ class TestPrebuild:
 
 
 class TestManifest:
-    def test_load_manifest_roundtrip(self, tmp_path):
-        store = tmp_path / "store"
+    def test_load_manifest_roundtrip(self, cold):
+        store, _ = cold
         written = prebuild(store)
         read = load_manifest(store)
         assert read["kernels"] == json.loads(json.dumps(written))["kernels"]

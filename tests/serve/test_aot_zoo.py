@@ -1,10 +1,8 @@
 """AOT prebuild over the pipeline zoo: grid shape, filtering, warm starts.
 
-``zoo_kernel_requests`` is the registry-wide companion of
-``harris_kernel_requests``: every registered pipeline under every
-*applicable* schedule, addressed as plain-JSON ``"zoo"`` builder
-requests so a serving process can reconstruct them without importing
-pipeline code.
+``zoo_kernel_requests`` names every registered pipeline under every
+*applicable* schedule, addressed as plain-JSON ``"zoo"`` requests so a
+serving process can reconstruct them without importing pipeline code.
 """
 
 import pytest
@@ -54,6 +52,16 @@ class TestZooKernelGrid:
             "zoo-box-blur-naive@python",
             "zoo-box-blur-cbuf@python",
         ]
+
+    def test_requests_carry_distinct_keys(self, fresh_engine):
+        keys = {
+            fresh_engine._key_for(
+                req.source, req.strategy, req.backend, req.type_env,
+                req.options, req.cflags, req.threads,
+            )
+            for _, req in zoo_kernel_requests(backends=("python",))
+        }
+        assert len(keys) == EXPECTED_APPLICABLE
 
     def test_requests_are_plain_json_options(self):
         for _, req in zoo_kernel_requests(backends=("python",)):

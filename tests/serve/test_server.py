@@ -50,7 +50,7 @@ class TestLifecycle:
         async def main():
             async with Server(Engine()) as server:
                 with pytest.raises(TypeError, match="CompileRequest"):
-                    await server.submit({"source": "harris-halide"})
+                    await server.submit({"source": "zoo"})
 
         asyncio.run(main())
 

@@ -57,11 +57,14 @@ class TestCatalog:
         assert typing.root_type is not None
 
     def test_harris_has_baselines(self):
-        assert registry.get("harris").baselines == (
-            "harris-halide",
-            "harris-opencv",
-            "harris-lift",
-        )
+        spec = registry.get("harris")
+        assert tuple(spec.baselines) == ("halide", "opencv", "lift")
+        assert [spec.runtime_kind(b) for b in spec.baselines] == [
+            "native",
+            "library",
+            "opencl",
+        ]
+        assert spec.runtime_kind("cbuf") == registry.RISE_KIND
 
     def test_params_defaults_flow_into_expr(self):
         spec = registry.get("unsharp-mask")
@@ -170,10 +173,19 @@ class TestStrategyCoverage:
 
 class TestZooBuilder:
     def test_builder_is_registered_with_the_engine(self):
-        from repro.engine.pipeline import BUILDER_REGISTRY
+        from repro.engine import Engine
 
-        module, attr = BUILDER_REGISTRY["zoo"]
-        assert (module, attr) == ("repro.pipelines.registry", "build_zoo_program")
+        options = {"pipeline": "box-blur", "schedule": "naive"}
+        prog = Engine().compile("zoo", options=options).program
+        assert prog.name == registry.build_zoo_program(**options).name
+
+    def test_baselines_are_schedules_of_their_spec(self):
+        prog = registry.build_zoo_program("harris", "halide", chunk=4, vec=4)
+        assert prog.name == "halide_harris"
+        with pytest.raises(KeyError, match="cbuf-rot-par, halide, opencv, lift"):
+            registry.build_zoo_program("harris", "nope")
+        with pytest.raises(KeyError, match=r"known: naive, .*cbuf-rot-par\)"):
+            registry.build_zoo_program("box-blur", "halide")
 
     def test_build_zoo_program_produces_imp_program(self):
         from repro.codegen.ir import ImpProgram

@@ -4,9 +4,10 @@
 Compiles the named Harris schedule ladder (naive, cbuf, cbuf+rot and the
 strip-parallel forms — the paper's evaluation grid) for each requested
 backend into a shared artifact store, then writes ``aot_manifest.json``
-at the store root.  ``--zoo`` additionally prebuilds every pipeline in
-the registry under every schedule that structurally applies to it (the
-``zoo-<pipeline>-<schedule>`` kernel set).  Any serving process pointing at the same store
+at the store root.  ``--zoo`` prebuilds every pipeline in the registry
+instead, Harris included, under every schedule that structurally
+applies to it.  Kernels are named ``zoo-<pipeline>-<schedule>@<backend>``.
+Any serving process pointing at the same store
 (``repro.serve.Server`` workers, ``$REPRO_CACHE_DIR`` users) warm-starts
 those kernels from disk without running a single compiler phase.
 
@@ -35,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 def main() -> int:
     """Prebuild the kernel set and write the manifest."""
-    from repro.serve.aot import harris_kernel_requests, prebuild, zoo_kernel_requests
+    from repro.serve.aot import prebuild, zoo_kernel_requests
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -64,8 +65,8 @@ def main() -> int:
     parser.add_argument(
         "--zoo",
         action="store_true",
-        help="also prebuild the pipeline-zoo kernel set (every registered "
-        "pipeline under its applicable schedules)",
+        help="prebuild every registered pipeline under its applicable "
+        "schedules, not only Harris",
     )
     parser.add_argument(
         "--verify-warm",
@@ -89,13 +90,12 @@ def main() -> int:
             print("aot: backend 'c' needs a host C compiler", file=sys.stderr)
             return 2
 
-    requests = harris_kernel_requests(
-        backends=backends, chunk=args.chunk, vec=args.vec
+    requests = zoo_kernel_requests(
+        backends=backends,
+        chunk=args.chunk,
+        vec=args.vec,
+        pipelines=None if args.zoo else ("harris",),
     )
-    if args.zoo:
-        requests += zoo_kernel_requests(
-            backends=backends, chunk=args.chunk, vec=args.vec
-        )
     manifest = prebuild(args.cache_dir, requests=requests)
     built = [k for k in manifest["kernels"] if k["cache"] == "miss"]
     warm = len(manifest["kernels"]) - len(built)
