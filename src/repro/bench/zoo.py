@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.bench.regress import ZOO_CELL_PREFIX
-from repro.engine import CompileRequest, Engine, default_engine
+from repro.engine import BACKENDS, CompileRequest, Engine, default_engine
 from repro.perf.cost import CostReport, estimate_runtime_ms
 from repro.perf.machines import ALL_MACHINES, Machine
 from repro.pipelines import registry
@@ -204,12 +204,12 @@ def zoo_smoke(
     """
     import numpy as np
 
-    from repro.exec.cbridge import have_c_compiler
+    from repro.exec import available_backends
     from repro.image import psnr
 
     eng = engine if engine is not None else default_engine()
     if backends is None:
-        backends = ["python"] + (["c"] if have_c_compiler() else [])
+        backends = available_backends()
     rows: list[SmokeRow] = []
     for name in pipelines or registry.names():
         spec = registry.get(name)
@@ -310,7 +310,7 @@ def _main() -> None:
     parser.add_argument(
         "--backend",
         default="auto",
-        choices=("auto", "python", "c", "both"),
+        choices=("auto", *BACKENDS, "both"),
         help="backend(s) for the smoke command (default: every available)",
     )
     parser.add_argument("--seed", type=int, default=0)
@@ -331,7 +331,7 @@ def _main() -> None:
 
     if args.command == "smoke":
         backends = None if args.backend == "auto" else (
-            ["python", "c"] if args.backend == "both" else [args.backend]
+            list(BACKENDS) if args.backend == "both" else [args.backend]
         )
         rows = zoo_smoke(
             pipelines=args.pipelines,

@@ -2,17 +2,13 @@
 
 A :class:`BatchRunner` executes one :class:`~repro.engine.pipeline.
 CompiledPipeline` over many input items concurrently.  The pool flavor
-follows the backend:
-
-* ``python`` (the numpy interpreter backend) uses a **process** pool —
-  the generated Python runs under the GIL, so threads would serialize;
-  the pickled :class:`~repro.codegen.ir.ImpProgram` ships to each worker
-  and results return as numpy arrays (bit-identical to a sequential run,
-  since the same generated code executes either way).
-* ``c`` (the ctypes bridge) uses a **thread** pool — ctypes releases the
-  GIL for the duration of each kernel call, every call allocates its
-  own output, and the library's call plan is built once under a lock,
-  so one loaded library serves all threads.
+is the backend's ``BATCH_POOL`` (see :data:`repro.exec.BACKEND_TABLE`):
+a **process** pool ships the pickled cache entry to each worker, which
+calls the backend's ``run``; a **thread** pool calls ``pipeline.run`` in
+each thread.  Either way the outputs are bit-identical to a sequential
+run.  Any backend may run on threads or sequentially, but forcing
+``mode="process"`` on a backend whose pool is not ``"process"`` raises
+``ValueError``.
 
 Pool setup failures (restricted sandboxes without ``fork``) degrade to
 sequential execution rather than erroring; ``BatchResult.mode`` records
@@ -41,7 +37,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.codegen.ir import ImpProgram
+from repro.exec import BACKEND_TABLE
 from repro.observe.context import ensure_request
 from repro.observe.core import Span, active, span
 from repro.observe.metrics import inc, observe_value, set_gauge
@@ -52,10 +48,10 @@ __all__ = ["BatchResult", "BatchRunner", "DEFAULT_MAX_WORKERS"]
 DEFAULT_MAX_WORKERS = 8
 
 
-def _run_item_python(
-    prog: ImpProgram, sizes: Mapping[str, int], inputs: Mapping[str, np.ndarray]
+def _run_item(
+    run, entry, sizes: Mapping[str, int], inputs: Mapping[str, np.ndarray]
 ) -> tuple[np.ndarray, float]:
-    """Process-pool worker: execute one item on the Python backend.
+    """Process-pool worker: execute one item through a backend's ``run``.
 
     Module-level so it pickles under every multiprocessing start method.
     Runs under :func:`repro.exec.parallel.batch_worker_scope`, so nested
@@ -63,11 +59,10 @@ def _run_item_python(
     the cores the pool already owns.
     """
     from repro.exec.parallel import batch_worker_scope
-    from repro.exec.pyexec import execute_program
 
     start = time.perf_counter()
     with batch_worker_scope():
-        out = execute_program(prog, sizes, inputs)
+        out = run(entry, None, sizes, inputs, None)
     return out, (time.perf_counter() - start) * 1e3
 
 
@@ -111,7 +106,7 @@ class BatchRunner:
     """Fans a list of input dicts across workers for one compiled pipeline.
 
     ``mode`` forces a pool flavor (``"process"``, ``"thread"`` or
-    ``"sequential"``); by default it follows the pipeline's backend as
+    ``"sequential"``); by default it is the backend's ``BATCH_POOL``, as
     described in the module docstring.
     """
 
@@ -120,10 +115,13 @@ class BatchRunner:
         self.workers = workers
         if mode not in (None, "process", "thread", "sequential"):
             raise ValueError(f"unknown batch mode {mode!r}")
+        self.backend = BACKEND_TABLE[pipeline.backend]
+        if mode == "process" and self.backend.BATCH_POOL != "process":
+            raise ValueError(
+                f"backend {pipeline.backend!r} does not run in processes "
+                f"(its batch pool is {self.backend.BATCH_POOL!r})"
+            )
         self.mode = mode
-
-    def _auto_mode(self) -> str:
-        return "thread" if self.pipeline.backend == "c" else "process"
 
     def _pool_size(self, n_items: int) -> int:
         if self.workers is not None:
@@ -142,7 +140,7 @@ class BatchRunner:
         """
         items = list(items)
         sizes = self.pipeline.resolve_run_sizes(sizes)
-        mode = self.mode or self._auto_mode()
+        mode = self.mode or self.backend.BATCH_POOL
         workers = self._pool_size(len(items))
         if workers == 1 or len(items) <= 1:
             mode = "sequential"
@@ -174,7 +172,7 @@ class BatchRunner:
         if mode == "process":
             try:
                 with ProcessPoolExecutor(max_workers=workers) as pool:
-                    outputs, item_ms = self._map_python(pool, items, sizes)
+                    outputs, item_ms = self._map_process(pool, items, sizes)
                 return outputs, item_ms, mode, workers
             except (OSError, PermissionError, BrokenPipeError):
                 mode = "sequential"  # no subprocess support here; degrade
@@ -194,9 +192,9 @@ class BatchRunner:
             item_ms.append((time.perf_counter() - t0) * 1e3)
         return outputs, item_ms, "sequential", 1
 
-    def _map_python(self, pool: Executor, items, sizes):
-        prog = self.pipeline.program
-        futures = [pool.submit(_run_item_python, prog, dict(sizes), item) for item in items]
+    def _map_process(self, pool: Executor, items, sizes):
+        run, entry = self.backend.run, self.pipeline._entry
+        futures = [pool.submit(_run_item, run, entry, dict(sizes), item) for item in items]
         results = [f.result() for f in futures]
         obs = active()
         if obs is not None:

@@ -258,9 +258,9 @@ class ArtifactStore:
     def load(self, key: str) -> Optional[CacheEntry]:
         """Reconstruct an entry from disk; ``None`` when absent/corrupt.
 
-        The shared library (if any) is *not* loaded here — the engine
-        attaches a live :class:`~repro.exec.cbridge.CLibrary` lazily from
-        :meth:`so_path`, keeping the store import-light.
+        The shared library (if any) is *not* loaded here — the C
+        backend's ``run`` loads it lazily from :meth:`so_path`, keeping
+        the store import-light.
         """
         adir = self._dir(key)
         if not (adir / "meta.json").is_file():

@@ -3,7 +3,8 @@
 One entry point compiles and runs every program of the reproduction.
 It accepts a :class:`~repro.engine.request.
 CompileRequest` — the typed request object the serving layer speaks —
-or the equivalent keywords, over three kinds of source:
+or a source plus the request's other fields as keywords, over three
+kinds of source:
 
 * a high-level RISE :class:`~repro.rise.expr.Expr` plus an optional
   optimization strategy/:class:`~repro.strategies.schedules.Schedule`;
@@ -24,6 +25,9 @@ elects exactly one builder and everyone else warm-starts from the
 published artifact.  The returned :class:`CompiledPipeline` runs single
 inputs (``.run``) or parallel batches (``.run_batch``), exposes the
 generated source and reports its own cache provenance via ``.report()``.
+
+Everything backend-specific — key flags, artifacts, execution, batch
+pool — is one lookup in :data:`repro.exec.BACKEND_TABLE`.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import contextlib
 import json
 import threading
 import time
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +51,8 @@ from repro.engine.hashing import (
     structural_hash,
     type_env_signature,
 )
-from repro.engine.request import DEFAULT_CFLAGS, CompileRequest
+from repro.engine.request import CompileRequest
+from repro.exec import BACKEND_TABLE
 from repro.observe.context import ensure_request
 from repro.observe.core import current_span, span
 from repro.observe.events import emit
@@ -136,21 +141,13 @@ class CompiledPipeline:
 
     @property
     def source(self) -> str:
-        """The generated source: C for the C backend, Python otherwise.
+        """The generated source: C for the C backend, Python for Python.
 
         The Python backend specializes generated code to concrete sizes,
         so default ``sizes`` must be bound (pass ``sizes=`` to
         :func:`compile` or use :meth:`bind`).
         """
-        if self.backend == "c":
-            if self._entry.c_source is None:
-                from repro.codegen.cprint import program_to_c
-
-                self._entry.c_source = program_to_c(self.program)
-            return self._entry.c_source
-        from repro.exec.pyexec import program_to_python
-
-        return program_to_python(self.program, self.resolve_run_sizes(None))
+        return BACKEND_TABLE[self.backend].source(self._entry, self.sizes)
 
     def report(self) -> dict:
         """Provenance of this handle: the echoed request, cache status,
@@ -220,20 +217,9 @@ class CompiledPipeline:
             backend=self.backend,
             threads=nthreads,
         ):
-            if self.backend == "c":
-                from repro.exec.cbridge import execute_with_library
-
-                out = execute_with_library(
-                    self._engine.library_for(self._entry),
-                    self.program,
-                    bound,
-                    inputs,
-                    threads=nthreads,
-                )
-            else:
-                from repro.exec.pyexec import execute_program
-
-                out = execute_program(self.program, bound, inputs, threads=nthreads)
+            out = BACKEND_TABLE[self.backend].run(
+                self._entry, self._engine.cache.store, bound, inputs, nthreads
+            )
         inc("engine.runs", backend=self.backend)
         set_gauge("engine.run.threads", nthreads, backend=self.backend)
         observe_value(
@@ -301,61 +287,40 @@ class Engine:
     # -- the front door --------------------------------------------------
 
     def compile(
-        self,
-        source: CompileRequest | Expr | ImpProgram | str,
-        *,
-        strategy=None,
-        backend: str = "python",
-        sizes: Mapping[str, int] | None = None,
-        type_env: Mapping[str, Any] | None = None,
-        name: str | None = None,
-        options: Mapping[str, Any] | None = None,
-        cflags: tuple[str, ...] = DEFAULT_CFLAGS,
-        threads: int | None = None,
+        self, source: CompileRequest | Expr | ImpProgram | str, **fields
     ) -> CompiledPipeline:
         """Compile (or fetch from cache) and return a runnable pipeline.
 
         ``source`` is either a ready-made :class:`CompileRequest` (the
-        serving layer's calling convention — keywords must then be left
-        at their defaults) or one of the three source kinds, with the
-        keywords assembled into a request internally: a RISE expression
-        (give ``type_env``, and optionally a ``strategy``/Schedule applied
-        before lowering), an already lowered :class:`~repro.codegen.ir.
-        ImpProgram`, or ``"zoo"`` (``options`` name the registered
-        pipeline and schedule).  ``sizes`` binds default run-time sizes; it
-        never affects the cache key.
+        serving layer's calling convention; passing any field with it
+        raises ``TypeError``) or one of the three source kinds, compiled
+        as ``CompileRequest(source=source, **fields)``: a RISE expression
+        (give ``type_env``, and optionally a ``strategy``/Schedule
+        applied before lowering), an already lowered
+        :class:`~repro.codegen.ir.ImpProgram`, or ``"zoo"`` (``options``
+        name the registered pipeline and schedule).  ``sizes`` binds
+        default run-time sizes; it never affects the cache key.
 
         ``threads`` pins a default thread count for ``PARALLEL`` loops on
-        the returned handle.  Thread configuration is part of the cache
-        key: the C backend resolves its *effective* flags (appending
-        ``-fopenmp`` when the toolchain supports it, and
-        ``-march=x86-64-v3`` on a CPU that runs it, see
-        :func:`repro.exec.cbridge.effective_cflags`) **before** keying, so
-        a sequential ``.so`` cached on an OpenMP-less host is never reused
-        by an OpenMP-capable build — and vice versa — a ``.so`` built for
-        ``x86-64-v3`` never reaches a host without it, and an explicit
-        thread pin is keyed separately from auto resolution.
+        the returned handle; it is keyed (an explicit pin apart from auto
+        resolution), and so are the backend's *resolved* flags: for C,
+        :func:`repro.exec.cbridge.effective_cflags`, so a sequential
+        ``.so`` never serves an OpenMP build (or vice versa), and an
+        ``x86-64-v3`` ``.so`` never reaches a host without it.
 
         Identical concurrent compiles coalesce onto one build: follower
         threads wait for the leader and return ``cache_status ==
         "coalesced"``; across processes the store's build lock elects a
         single builder per key.
         """
-        if isinstance(source, CompileRequest):
-            request = source
-        else:
-            request = CompileRequest(
-                source=source,
-                strategy=strategy,
-                backend=backend,
-                sizes=sizes,
-                type_env=type_env,
-                name=name,
-                options=options,
-                cflags=cflags,
-                threads=threads,
+        if not isinstance(source, CompileRequest):
+            source = CompileRequest(source=source, **fields)
+        elif fields:
+            raise TypeError(
+                f"compile() got a CompileRequest and the fields {sorted(fields)}; "
+                "put them in the request (request.replace(...))"
             )
-        return self.compile_request(request)
+        return self.compile_request(source)
 
     def compile_request(
         self, request: CompileRequest, publish: Callable[[CompileRequest, str], str] | None = None
@@ -399,20 +364,29 @@ class Engine:
             return self._served(request, key, entry, f"hit-{tier}", start)
 
     def _keyed(self, request: CompileRequest) -> tuple[CompileRequest, str]:
-        """``request`` with its effective cflags, and its cache key."""
-        if request.backend == "c":
-            from repro.exec.cbridge import effective_cflags
-
-            request = request.replace(cflags=effective_cflags(tuple(request.cflags)))
-        key = self._key_for(
-            request.source,
-            request.strategy,
-            request.backend,
-            request.type_env,
-            request.options,
-            request.cflags,
-            request.threads,
-        )
+        """``request`` with its backend's resolved cflags, and its cache key."""
+        cflags = BACKEND_TABLE[request.backend].resolve_cflags(request.cflags)
+        if cflags != request.cflags:
+            request = request.replace(cflags=cflags)
+        source, backend = request.source, request.backend
+        flags = ",".join(request.cflags)
+        tconf = "threads=auto" if request.threads is None else f"threads={request.threads}"
+        if isinstance(source, ImpProgram):
+            key = cache_key("program", program_fingerprint(source), backend, flags, tconf)
+        elif isinstance(source, str):
+            opts = json.dumps(dict(request.options), sort_keys=True, default=repr)
+            key = cache_key("builder", source, opts, backend, flags, tconf)
+        else:
+            key = cache_key(
+                "expr",
+                structural_hash(source),
+                strategy_identity(request.strategy),
+                type_env_signature(request.type_env),
+                size_signature(request.type_env),
+                backend,
+                flags,
+                tconf,
+            )
         return request, key
 
     def _served(
@@ -449,7 +423,7 @@ class Engine:
             backend=request.backend,
             strategy=strategy_identity(request.strategy),
             threads="auto" if request.threads is None else request.threads,
-            cflags=" ".join(request.cflags) if request.backend == "c" else "",
+            cflags=" ".join(request.cflags),
         ) as compile_span:
             try:
                 entry, tier = self.cache.get(key)
@@ -558,8 +532,7 @@ class Engine:
                 backend=request.backend,
                 meta={"cflags": list(request.cflags), "threads": request.threads},
             )
-            if request.backend == "c":
-                self._attach_library(entry, request.cflags)
+            BACKEND_TABLE[request.backend].build(entry, request.cflags)
             self.cache.put(entry)
             emit(
                 "engine.build.done",
@@ -569,34 +542,6 @@ class Engine:
                 build_ms=round((time.perf_counter() - build_t0) * 1e3, 3),
             )
         return entry, "miss"
-
-    def _key_for(
-        self, source, strategy, backend, type_env, options, cflags, threads=None
-    ) -> str:
-        flags = ",".join(cflags) if backend == "c" else ""
-        tconf = "threads=auto" if threads is None else f"threads={int(threads)}"
-        if isinstance(source, ImpProgram):
-            return cache_key(
-                "program", program_fingerprint(source), backend, flags, tconf
-            )
-        if isinstance(source, str):
-            opts = json.dumps(dict(options or {}), sort_keys=True, default=repr)
-            return cache_key("builder", source, opts, backend, flags, tconf)
-        if isinstance(source, Expr):
-            return cache_key(
-                "expr",
-                structural_hash(source),
-                strategy_identity(strategy),
-                type_env_signature(type_env),
-                size_signature(type_env),
-                backend,
-                flags,
-                tconf,
-            )
-        raise TypeError(
-            f"cannot compile {type(source).__name__}: expected a RISE Expr, "
-            "an ImpProgram, or the name \"zoo\""
-        )
 
     def _build_program(self, request: CompileRequest) -> ImpProgram:
         """Lower one request's source into an :class:`ImpProgram`.
@@ -625,39 +570,6 @@ class Engine:
 
         name = request.name or "pipeline"
         return compile_program(program, dict(request.type_env or {}), name)
-
-    def _attach_library(self, entry: CacheEntry, cflags: tuple[str, ...]) -> None:
-        from repro.codegen.cprint import program_to_c
-        from repro.exec.cbridge import compile_c_library, have_c_compiler
-
-        if not have_c_compiler():
-            raise RuntimeError("backend='c' requires a host C compiler (gcc/cc)")
-        entry.c_source = program_to_c(entry.program)
-        entry.library = compile_c_library(
-            entry.program, extra_flags=tuple(cflags), source=entry.c_source
-        )
-
-    def library_for(self, entry: CacheEntry):
-        """The live C library for ``entry``, loading or building on demand.
-
-        Warm disk hits reload the stored ``.so`` without recompiling;
-        memory-only engines rebuild once and keep the handle on the entry.
-        """
-        if entry.library is not None and not entry.library.closed:
-            return entry.library
-        from repro.exec.cbridge import compile_c_library, load_c_library
-
-        store = self.cache.store
-        so_path = store.so_path(entry.key) if store is not None else None
-        if so_path is not None:
-            entry.library = load_c_library(so_path)
-        else:
-            entry.library = compile_c_library(
-                entry.program,
-                extra_flags=tuple(entry.meta.get("cflags", DEFAULT_CFLAGS)),
-                source=entry.c_source,
-            )
-        return entry.library
 
     def stats(self) -> dict:
         """JSON-ready cache statistics (the run report's ``engine.cache``)."""
@@ -693,15 +605,8 @@ def reset_default_engine(cache_dir=None, memory_slots: int = 64) -> Engine:
 def compile(
     source: CompileRequest | Expr | ImpProgram | str,
     *,
-    strategy=None,
-    backend: str = "python",
-    sizes: Mapping[str, int] | None = None,
-    type_env: Mapping[str, Any] | None = None,
-    name: str | None = None,
-    options: Mapping[str, Any] | None = None,
-    cflags: tuple[str, ...] = DEFAULT_CFLAGS,
-    threads: int | None = None,
     engine: Engine | None = None,
+    **fields,
 ) -> CompiledPipeline:
     """Compile through the default (or given) engine; see :meth:`Engine.compile`.
 
@@ -717,16 +622,4 @@ def compile(
         batch = pipeline.run_batch([{"rgb": img} for img in images])
     """
     eng = engine if engine is not None else default_engine()
-    if isinstance(source, CompileRequest):
-        return eng.compile_request(source)
-    return eng.compile(
-        source,
-        strategy=strategy,
-        backend=backend,
-        sizes=sizes,
-        type_env=type_env,
-        name=name,
-        options=options,
-        cflags=cflags,
-        threads=threads,
-    )
+    return eng.compile(source, **fields)

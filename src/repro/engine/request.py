@@ -5,9 +5,9 @@ concurrent callers needs a *value* instead — one frozen, validated,
 hashable-by-content description of a compilation that can be queued,
 coalesced, logged and echoed back in reports.  Everything above the
 engine (the :mod:`repro.serve` front door, the AOT prebuilder, the load
-tester) speaks only :class:`CompileRequest`; ``Engine.compile()`` keeps
-accepting the historical kwargs and simply constructs a request from
-them, so the two call styles are exactly equivalent::
+tester) speaks only :class:`CompileRequest`; ``Engine.compile(source,
+**fields)`` builds ``CompileRequest(source=source, **fields)``, so the
+two call styles are exactly equivalent::
 
     req = CompileRequest(source=harris(rgb), strategy=cbuf_version(env),
                          type_env=env, sizes={"n": 32, "m": 64})
@@ -29,14 +29,14 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from repro.codegen.ir import ImpProgram
-from repro.exec.cbridge import DEFAULT_CFLAGS
+from repro.exec import BACKEND_TABLE, DEFAULT_CFLAGS
 from repro.observe.context import new_request_id
 from repro.rise.expr import Expr
 
 __all__ = ["CompileRequest", "BACKENDS", "DEFAULT_CFLAGS"]
 
-#: The execution backends the engine can target.
-BACKENDS = ("python", "c")
+#: The execution backends the engine can target (the backend table's names).
+BACKENDS = tuple(BACKEND_TABLE)
 
 
 def _frozen_mapping(value: Mapping | None, what: str) -> Mapping:
@@ -52,19 +52,19 @@ def _frozen_mapping(value: Mapping | None, what: str) -> Mapping:
 class CompileRequest:
     """One validated, immutable description of a compilation.
 
-    Fields mirror the keywords of :meth:`repro.engine.Engine.compile`:
+    Fields are the keywords of :meth:`repro.engine.Engine.compile`:
 
     * ``source`` — a RISE :class:`~repro.rise.expr.Expr`, an
       :class:`~repro.codegen.ir.ImpProgram`, or the name ``"zoo"``;
     * ``strategy`` — optional ELEVATE strategy / Schedule applied before
       lowering (RISE sources only);
-    * ``backend`` — ``"python"`` or ``"c"``;
+    * ``backend`` — a name in :data:`repro.exec.BACKEND_TABLE`;
     * ``sizes`` — default run-time size bindings (never part of the key);
     * ``type_env`` — free-identifier types for RISE sources;
     * ``name`` — program name for generated code;
     * ``options`` — the ``"zoo"`` source's pipeline, schedule and grid
       (``chunk``/``vec``/``strip``);
-    * ``cflags`` — C compiler flags (C backend only);
+    * ``cflags`` — compiler flags, resolved by the backend before keying;
     * ``threads`` — default thread count for ``PARALLEL`` loops;
     * ``request_id`` — correlation identity for observability
       (auto-generated when omitted; stable across :meth:`replace`, so the
@@ -96,10 +96,9 @@ class CompileRequest:
             )
         if isinstance(self.source, str) and not self.source:
             raise ValueError("builder-name source must be non-empty")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r} (expected one of {BACKENDS})"
-            )
+        if self.backend not in BACKEND_TABLE:
+            known = tuple(BACKEND_TABLE)
+            raise ValueError(f"unknown backend {self.backend!r} (expected one of {known})")
         if self.strategy is not None and not hasattr(self.strategy, "apply"):
             raise TypeError(
                 f"strategy must expose .apply(program), "

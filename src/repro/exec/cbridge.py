@@ -521,3 +521,47 @@ def execute_with_library(
         produced[call.output] = result
     assert result is not None
     return result
+
+
+# -- the backend interface (see repro.exec.BACKEND_TABLE) --------------------
+
+#: ctypes releases the GIL for each kernel call, every call allocates its
+#: own output and a call plan is built once under a lock, so one loaded
+#: library serves a batch's thread pool.
+BATCH_POOL = "thread"
+
+#: Whether this host can build C: a gcc or cc on PATH.
+available = have_c_compiler
+
+#: The flags that enter the cache key: the host's OpenMP and ISA level.
+resolve_cflags = effective_cflags
+
+
+def build(entry, cflags: tuple[str, ...]) -> None:
+    """Print ``entry.program`` to C and compile it into ``entry.library``
+    (the one ``.so`` build path, for fresh and for closed entries)."""
+    if not have_c_compiler():
+        raise RuntimeError("backend='c' requires a host C compiler (gcc/cc)")
+    entry.library = compile_c_library(
+        entry.program, extra_flags=tuple(cflags), source=source(entry, {})
+    )
+
+
+def source(entry, sizes: Mapping[str, int]) -> str:
+    """The C of ``entry.program``, printed once per entry (sizes stay symbolic)."""
+    if entry.c_source is None:
+        entry.c_source = program_to_c(entry.program)
+    return entry.c_source
+
+
+def run(entry, store, sizes, inputs, threads: int | None) -> np.ndarray:
+    """Execute ``entry`` through its live library: a warm disk hit loads
+    the stored ``.so``, an entry with no store behind it is rebuilt."""
+    library = entry.library
+    if library is None or library.closed:
+        so_path = store.so_path(entry.key) if store is not None else None
+        if so_path is not None:
+            entry.library = load_c_library(so_path)
+        else:
+            build(entry, tuple(entry.meta.get("cflags", DEFAULT_CFLAGS)))
+    return execute_with_library(entry.library, entry.program, sizes, inputs, threads)

@@ -446,3 +446,35 @@ def execute_program(
             produced[fn.output.name] = result
     assert result is not None
     return result
+
+
+# -- the backend interface (see repro.exec.BACKEND_TABLE) --------------------
+
+#: The generated Python holds the GIL, so a batch fans out across processes.
+BATCH_POOL = "process"
+
+
+def available() -> bool:
+    """The Python backend runs wherever numpy does."""
+    return True
+
+
+def resolve_cflags(cflags: tuple[str, ...]) -> tuple[str, ...]:
+    """No compiler runs, so no flag enters the cache key."""
+    return ()
+
+
+def build(entry, cflags: tuple[str, ...]) -> None:
+    """Nothing to build: :func:`run` generates code per size binding."""
+
+
+def source(entry, sizes: Mapping[str, int]) -> str:
+    """The generated Python of ``entry.program``, specialized to ``sizes``."""
+    from repro.codegen.sizes import resolve_sizes
+
+    return program_to_python(entry.program, resolve_sizes(entry.program, sizes))
+
+
+def run(entry, store, sizes, inputs, threads: int | None) -> np.ndarray:
+    """Execute ``entry.program`` once (the store holds nothing for it)."""
+    return execute_program(entry.program, sizes, inputs, threads=threads)

@@ -141,7 +141,7 @@ def prebuild(
             {
                 "kernel": kernel_name,
                 "key": pipeline.key,
-                "cflags": list(pipeline.request.cflags) if pipeline.backend == "c" else [],
+                "cflags": list(pipeline.request.cflags),
                 "backend": pipeline.backend,
                 "program": pipeline.program.name,
                 "cache": pipeline.cache_status,

@@ -136,10 +136,10 @@ def wall_rank(
     :meth:`~repro.engine.pipeline.CompiledPipeline.run_batch`, taking the
     min item latency (min-of-k).  Returns ``schedule name -> ms``, cheapest first.
     """
-    from repro.exec.cbridge import have_c_compiler
+    from repro.exec import available_backends
 
     if backend is None:
-        backend = "c" if have_c_compiler() else "python"
+        backend = "c" if "c" in available_backends() else "python"
     eng = engine if engine is not None else Engine()
     ranked: dict[str, float] = {}
     for name, sched in schedules.items():

@@ -97,13 +97,13 @@ def verify_schedule(
     reorder float32 arithmetic (the paper's own PSNR argument for
     ``cbuf+rot``).  ``check_c`` defaults to host-compiler availability.
     """
-    from repro.exec.cbridge import have_c_compiler
+    from repro.exec import available_backends
 
     eng = engine if engine is not None else Engine()
     sizes = dict(sizes or verification_sizes())
     inputs = make_inputs(type_env, sizes, seed=seed)
     if check_c is None:
-        check_c = have_c_compiler()
+        check_c = "c" in available_backends()
 
     def run_once(strategy, backend: str):
         pipeline = eng.compile(

@@ -82,13 +82,13 @@ def differential_check(
     from repro.codegen.views import CodegenError
     from repro.engine.pipeline import Engine
     from repro.engine.pipeline import compile as engine_compile
-    from repro.exec.cbridge import have_c_compiler
+    from repro.exec import available_backends
 
     result = DiffResult()
     inputs = inputs if inputs is not None else gp.make_inputs()
     engine = engine if engine is not None else Engine(cache_dir=None)
     if use_c is None:
-        use_c = have_c_compiler()
+        use_c = "c" in available_backends()
 
     try:
         reference = _interpret(gp, inputs)

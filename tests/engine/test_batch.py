@@ -7,7 +7,8 @@ import pytest
 from repro.engine import BatchRunner, Engine
 from repro.image import synthetic_rgb
 from repro.pipelines import harris, harris_input_type
-from repro.rise import Identifier
+from repro.rise import Identifier, array, f32
+from repro.rise.dsl import fun, lit, map_seq
 from repro.strategies import cbuf_version
 
 SENV = {"rgb": harris_input_type()}
@@ -73,3 +74,19 @@ class TestBatchResult:
     def test_invalid_mode_is_rejected(self, pipeline):
         with pytest.raises(ValueError, match="mode"):
             BatchRunner(pipeline, mode="gpu")
+
+    @pytest.mark.requires_gcc
+    def test_process_mode_is_refused_on_a_thread_pool_backend(self):
+        """A C batch forced into processes used to run the Python runtime
+        there and still report ``mode="process"``."""
+        scale = Engine().compile(
+            map_seq(fun(lambda v: v * lit(2.0)), Identifier("xs")),
+            type_env={"xs": array("n", f32)},
+            backend="c",
+            sizes={"n": 8},
+            name="batch_scale",
+        )
+        items = [{"xs": np.arange(8, dtype=np.float32)}] * 2
+        with pytest.raises(ValueError, match="backend 'c'"):
+            scale.run_batch(items, workers=2, mode="process")
+        assert scale.run_batch(items, workers=2).mode == "thread"

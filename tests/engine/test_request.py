@@ -150,6 +150,15 @@ class TestEngineIntegration:
         assert report["request"]["options"] == HALIDE
         assert report["cache"] == "miss"
 
+    def test_request_with_fields_is_a_type_error(self, fresh_engine):
+        """Fields passed beside a request used to be dropped silently."""
+        request = CompileRequest(source="zoo", options=HALIDE)
+        with pytest.raises(TypeError, match="backend"):
+            fresh_engine.compile(request, backend="c", threads=2)
+        with pytest.raises(TypeError, match="threads"):
+            repro.compile(request, threads=2, engine=fresh_engine)
+        assert len(fresh_engine.cache) == 0
+
     def test_module_compile_accepts_request(self, small_image):
         pipeline = repro.compile(
             CompileRequest(

@@ -5,6 +5,7 @@ program reuse across thread configs, no silent sequential reuse)."""
 import numpy as np
 import pytest
 
+from repro.engine import CompileRequest
 from repro.engine.pipeline import Engine
 from repro.exec import cbridge
 from repro.image import reference, synthetic_rgb
@@ -51,10 +52,10 @@ class TestCacheKey:
         flags, so toggling toolchain support changes the key."""
         high = harris(Identifier("rgb"))
         strategy = cbuf_version(SENV, chunk=4, vec=4)
-        args = (high, strategy, "c", SENV, None)
-        key_for = lambda: engine._key_for(
-            *args, cbridge.effective_cflags(("-O2",)), None
+        request = CompileRequest(
+            source=high, strategy=strategy, backend="c", type_env=SENV, cflags=("-O2",)
         )
+        key_for = lambda: engine._keyed(request)[1]
         cbridge.toolchain.cache_clear()
         try:
             import unittest.mock as mock

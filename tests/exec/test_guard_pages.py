@@ -144,7 +144,7 @@ def test_parameter_buffers_stay_inside_their_size(make, args):
             np.testing.assert_array_equal(fenced[name], data)  # never written
 
         # outputs and intermediates: each kernel called directly
-        library = compiled._engine.library_for(compiled._entry)
+        library = compiled._entry.library  # loaded by the C backend's run above
         plan = library._call_plan(compiled.program, sizes)
         buffers = dict(fenced)
         for call in plan.kernels:

@@ -95,9 +95,7 @@ class TestNoLevel:
         engine = Engine()
         request, key = engine._keyed(ZOO_REQUEST)
         assert request.cflags == PRE_POLICY_FLAGS
-        assert key == engine._key_for(
-            "zoo", None, "c", None, ZOO_REQUEST.options, PRE_POLICY_FLAGS, None
-        )
+        assert key == engine._keyed(ZOO_REQUEST.replace(cflags=PRE_POLICY_FLAGS))[1]
 
     def test_level_two_cpu_gets_no_flag(self, monkeypatch):
         _forced(monkeypatch, 2)

@@ -55,10 +55,7 @@ class TestZooKernelGrid:
 
     def test_requests_carry_distinct_keys(self, fresh_engine):
         keys = {
-            fresh_engine._key_for(
-                req.source, req.strategy, req.backend, req.type_env,
-                req.options, req.cflags, req.threads,
-            )
+            fresh_engine._keyed(req)[1]
             for _, req in zoo_kernel_requests(backends=("python",))
         }
         assert len(keys) == EXPECTED_APPLICABLE

@@ -17,7 +17,8 @@ non-zero if any kernel had to be built — the install-script check that a
 deployment image really ships prebuilt.
 
 Exit codes: 0 success, 1 --verify-warm found cold kernels,
-2 usage errors.
+2 usage errors (an unknown or unavailable backend among them; nothing
+is written then).
 
 Usage:  python tools/aot.py --cache-dir /var/cache/repro
                             [--backends python,c] [--chunk 4] [--vec 4]
@@ -36,6 +37,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 def main() -> int:
     """Prebuild the kernel set and write the manifest."""
+    from repro.exec import BACKEND_TABLE, available_backends
     from repro.serve.aot import prebuild, zoo_kernel_requests
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -80,15 +82,17 @@ def main() -> int:
     args = parser.parse_args()
 
     backends = tuple(b.strip() for b in args.backends.split(",") if b.strip())
-    if not backends:
-        print("aot: --backends must name at least one backend", file=sys.stderr)
+    available = available_backends()
+    unusable = [b for b in backends if b not in available]
+    if not backends or unusable:
+        print(
+            f"aot: --backends {args.backends!r}: "
+            + (f"cannot build {', '.join(unusable)}; " if unusable else "")
+            + f"known backends: {', '.join(BACKEND_TABLE)} "
+            f"(available here: {', '.join(available)})",
+            file=sys.stderr,
+        )
         return 2
-    if args.backends and "c" in backends:
-        from repro.exec.cbridge import have_c_compiler
-
-        if not have_c_compiler():
-            print("aot: backend 'c' needs a host C compiler", file=sys.stderr)
-            return 2
 
     requests = zoo_kernel_requests(
         backends=backends,
