@@ -1,8 +1,8 @@
 """Experiment harness regenerating the paper's figures and claims."""
 
 from repro.bench.harness import (
-    IMPLEMENTATIONS, Fig8Cell, claims, compile_all, fig1_normalized,
-    fig8_grid, format_fig8, padded_sizes,
+    IMPLEMENTATIONS, Claim, Fig8Cell, compile_all, fig1_normalized,
+    fig8_grid, format_fig8, padded_sizes, paper_claims,
 )
 from repro.bench.regress import (
     DEFAULT_TRAJECTORY, Regression, append_sample, collect_sample,

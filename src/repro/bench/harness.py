@@ -1,5 +1,6 @@
 """The evaluation harness: compiles every implementation once and
-regenerates the paper's figures and in-text claims (DESIGN.md E1-E7).
+regenerates the paper's figures and in-text claims (DESIGN.md E1-E7),
+the claims as one table of bands (:func:`paper_claims`).
 
 Fig. 8 is the Harris slice of the zoo grid: each implementation is a
 schedule of the registry's ``harris`` spec, compiled through the same
@@ -32,7 +33,8 @@ __all__ = [
     "padded_sizes",
     "fig8_grid",
     "fig1_normalized",
-    "claims",
+    "Claim",
+    "paper_claims",
     "Fig8Cell",
     "run_report",
 ]
@@ -130,36 +132,143 @@ def fig1_normalized(chunk: int = DEFAULT_CHUNK, vec: int = DEFAULT_VEC) -> dict[
     return {name: t / halide for name, t in times.items()}
 
 
-def claims(cells: list[Fig8Cell] | None = None) -> dict[str, float]:
-    """The in-text quantitative claims of section V-B (DESIGN.md E4/E5):
+@dataclass(frozen=True)
+class Claim:
+    """One row of the paper-claims table: a modeled ``value`` and the band
+    it must lie in.  ``None`` leaves that side unbounded; a ``closed`` band
+    includes its ends.  A row bounded on neither side is reported, not
+    checked."""
 
-    * max speedup of the best RISE version over OpenCV ("up to 16x");
-    * mean speedup of cbuf+rot over cbuf ("almost 30% faster on average");
-    * max/mean speedup of cbuf+rot over Halide ("more than 30% ... 1.4x").
-    """
-    cells = cells or fig8_grid()
+    id: str
+    claim: str
+    lo: float | None
+    hi: float | None
+    value: float
+    closed: bool = False
+
+    @property
+    def ok(self) -> bool:
+        above = self.lo is None or (
+            self.value >= self.lo if self.closed else self.value > self.lo
+        )
+        below = self.hi is None or (
+            self.value <= self.hi if self.closed else self.value < self.hi
+        )
+        return above and below
+
+    @property
+    def band(self) -> str:
+        lo = "(-inf" if self.lo is None else f"{'[' if self.closed else '('}{self.lo:g}"
+        hi = "inf)" if self.hi is None else f"{self.hi:g}{']' if self.closed else ')'}"
+        return f"{lo}, {hi}"
+
+
+def _fig8_table(cells: list[Fig8Cell]) -> dict[tuple[str, str], dict[str, float]]:
+    """(machine, image) -> implementation -> modeled runtime (ms)."""
     table: dict[tuple[str, str], dict[str, float]] = {}
     for cell in cells:
         table.setdefault((cell.machine, cell.image), {})[cell.implementation] = (
             cell.runtime_ms
         )
-    ratios_opencv = []
-    ratios_rot_cbuf = []
-    ratios_rot_halide = []
-    for values in table.values():
-        best_rise = min(values["RISE (cbuf)"], values["RISE (cbuf+rot)"])
-        ratios_opencv.append(values["OpenCV"] / best_rise)
-        ratios_rot_cbuf.append(values["RISE (cbuf)"] / values["RISE (cbuf+rot)"])
-        ratios_rot_halide.append(values["Halide"] / values["RISE (cbuf+rot)"])
-    return {
-        "max_speedup_vs_opencv": max(ratios_opencv),
-        "mean_speedup_vs_opencv": float(np.mean(ratios_opencv)),
-        "mean_rot_over_cbuf": float(np.mean(ratios_rot_cbuf)),
-        "max_rot_over_halide": max(ratios_rot_halide),
-        "mean_rot_over_halide": float(np.mean(ratios_rot_halide)),
-        "halide_wins_cells": sum(1 for r in ratios_rot_halide if r < 1.0),
-        "total_cells": len(ratios_rot_halide),
+    return table
+
+
+@lru_cache(maxsize=1)
+def paper_claims() -> tuple[Claim, ...]:
+    """The paper's section V claims (EXPERIMENTS.md E1-E7) plus ``G``, the
+    check that the optimizations generalize to another composition, as one
+    table computed once per process.  A claim about every cell is one row
+    holding the min or max over the cells."""
+    from repro.bench.ablation import run_ablation
+    from repro.bench.validation import validate_outputs
+    from repro.perf.vectorloads import vector_load_costs
+
+    fig1 = fig1_normalized()
+    cells = list(_fig8_table(fig8_grid()).values())
+
+    def others(values: dict[str, float], name: str) -> list[float]:
+        return [v for n, v in values.items() if n != name]
+
+    rot = [v["RISE (cbuf+rot)"] for v in cells]
+    opencv = [v["OpenCV"] / min(v["RISE (cbuf)"], v["RISE (cbuf+rot)"]) for v in cells]
+    cbuf_halide = [v["RISE (cbuf)"] / v["Halide"] for v in cells]
+    rot_halide = [v["Halide"] / r for v, r in zip(cells, rot)]
+
+    validation = validate_outputs()
+    ablation = {row.variant: row.slowdown_vs_full for row in run_ablation()}
+    loads = {m.name: vector_load_costs(m).speedup for m in ALL_MACHINES}
+
+    blur = {
+        schedule: default_engine().compile_request(
+            zoo_request("gaussian-blur", schedule, DEFAULT_CHUNK, DEFAULT_VEC)
+        ).program
+        for schedule in ("cbuf", "cbuf-rot")
     }
+    blur_sizes = {"n": 1536, "m": 2556}
+    blur_speedup = [
+        estimate_runtime_ms(blur["cbuf"], blur_sizes, m, registry.RISE_KIND).runtime_ms
+        / estimate_runtime_ms(blur["cbuf-rot"], blur_sizes, m, registry.RISE_KIND).runtime_ms
+        for m in ALL_MACHINES
+    ]
+
+    C = Claim
+    return (
+        C("E1.halide", "fig. 1 normalizes to Halide", 1.0, 1.0, fig1["Halide"], True),
+        C("E1.lift", "Lift performs poorly: Lift / Halide on A53", 1.8, None, fig1["Lift"]),
+        C("E1.rise", "RISE beats Halide ~1.3x: cbuf+rot / Halide on A53",
+          0.6, 0.9, fig1["RISE (cbuf+rot)"]),
+        C("E2.cells", "fig. 8 has 4 CPUs x 2 images", 8, 8, len(cells), True),
+        C("E2.opencv-slowest", "OpenCV slowest: min over cells of OpenCV / slowest other",
+          1.0, None, min(v["OpenCV"] / max(others(v, "OpenCV")) for v in cells)),
+        C("E2.lift-over-cbuf", "RISE clearly beats Lift: min over cells of Lift / cbuf",
+          1.5, None, min(v["Lift"] / v["RISE (cbuf)"] for v in cells)),
+        C("E2.deviation.min", "cbuf on par with Halide (deviation: cbuf trails): "
+          "min over cells of cbuf / Halide", 0.6, 1.5, min(cbuf_halide)),
+        C("E2.deviation.max", "cbuf on par with Halide (deviation: cbuf trails): "
+          "max over cells of cbuf / Halide", 0.6, 1.5, max(cbuf_halide)),
+        C("E2.rot-fastest", "cbuf+rot fastest: max over cells of cbuf+rot / fastest other",
+          None, 1.02, max(r / min(others(v, "RISE (cbuf+rot)")) for v, r in zip(cells, rot)),
+          True),
+        C("E3.rows", "every implementation is validated", 5, 5, len(validation), True),
+        C("E3.exact", "outputs bit-equal to Halide's (all but the re-associated cbuf+rot)",
+          4, None, sum(math.isinf(r.psnr_vs_halide_db) for r in validation), True),
+        C("E3.psnr-halide", "min PSNR vs the Halide output (dB)",
+          120.0, None, min(r.psnr_vs_halide_db for r in validation)),
+        C("E3.psnr-numpy", "min PSNR vs the NumPy reference (dB)",
+          100.0, None, min(r.psnr_vs_numpy_db for r in validation)),
+        C("E4.opencv-max", "up to 16x vs OpenCV: max over cells of OpenCV / best RISE",
+          6.0, 20.0, max(opencv), True),
+        C("E4.opencv-mean", "mean over cells of OpenCV / best RISE",
+          None, None, float(np.mean(opencv))),
+        C("E5.rot-over-cbuf", "~30% from separation + rotation: mean cbuf / cbuf+rot",
+          1.2, 1.75, float(np.mean([v["RISE (cbuf)"] / r for v, r in zip(cells, rot)])), True),
+        C("E5.rot-over-halide.mean", ">30% over Halide: mean Halide / cbuf+rot",
+          1.2, None, float(np.mean(rot_halide)), True),
+        C("E5.rot-over-halide.max", "up to 1.4x over Halide: max Halide / cbuf+rot",
+          1.25, 1.55, max(rot_halide), True),
+        C("E5.halide-wins", "cells where Halide beats cbuf+rot",
+          None, None, sum(r < 1.0 for r in rot_halide)),
+        C("E6.full", "the full schedule is the ablation's unit",
+          1.0, 1.0, ablation["full (cbuf+rot)"], True),
+        C("E6.no-faster", "no ablated variant is faster: min slowdown",
+          1.0, None, min(ablation.values()), True),
+        C("E6.no-mt", "slowdown without multi-threading", 1.4, None,
+          ablation["no multi-threading"]),
+        C("E6.no-vec", "slowdown without vectorization", 1.2, None,
+          ablation["no vectorization"]),
+        C("E6.no-rot", "slowdown without rotation (cbuf)", 1.2, None,
+          ablation["no rotation (cbuf)"]),
+        C("E6.no-cbuf", "slowdown without circular buffering", 3.0, None,
+          ablation["no circular buffering"]),
+        C("E7.speedup", "two loads + shuffles beat three: min speedup over CPUs",
+          1.0, None, min(loads.values())),
+        C("E7.A7-over-A15", "in-order A7 gains more than out-of-order A15",
+          1.0, None, loads["Cortex A7"] / loads["Cortex A15"]),
+        C("E7.A53-over-A73", "in-order A53 gains more than out-of-order A73",
+          1.0, None, loads["Cortex A53"] / loads["Cortex A73"]),
+        C("G.gaussian-blur", "unchanged schedules generalize: min over CPUs of "
+          "gaussian-blur cbuf / cbuf-rot", 1.0, None, min(blur_speedup)),
+    )
 
 
 def run_report(
@@ -282,12 +391,7 @@ def format_fig8(cells: list[Fig8Cell]) -> str:
     header = f"{'CPU':<11} {'image':<6}" + "".join(f"{n:>17}" for n in names)
     lines.append(header)
     lines.append("-" * len(header))
-    table: dict[tuple[str, str], dict[str, float]] = {}
-    for cell in cells:
-        table.setdefault((cell.machine, cell.image), {})[cell.implementation] = (
-            cell.runtime_ms
-        )
-    for (machine, image), values in table.items():
+    for (machine, image), values in _fig8_table(cells).items():
         row = f"{machine:<11} {image:<6}" + "".join(
             f"{values[n]:>15.1f}ms" for n in names
         )

@@ -16,8 +16,8 @@ disabled), activate its recorders:
   span tree, :func:`compile_profiles`) and the paper-style derivation
   pretty-printer;
 * :mod:`repro.observe.metrics` — the always-on process-wide metrics
-  registry (counters, gauges, quantile histograms) with JSON and
-  Prometheus exporters (:func:`metrics_registry`, :func:`inc`, ...);
+  registry (counters, gauges, quantile histograms) with a JSON
+  snapshot exporter (:func:`metrics_registry`, :func:`inc`, ...);
 * :mod:`repro.observe.traceevent` — Chrome trace-event export of any
   observer's span tree (:func:`save_trace`), loadable in Perfetto;
 * :mod:`repro.observe.context` — per-request correlation

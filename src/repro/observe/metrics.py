@@ -25,11 +25,10 @@ Instruments are identified by a dotted name plus optional labels::
 
     inc("engine.cache.hit", tier="memory")
     observe_value("engine.run.latency_ms", 1.84, backend="c")
-    print(registry().render_prometheus())
+    print(registry().to_json())
 
-Exporters: :meth:`MetricsRegistry.snapshot` (JSON-ready dict, embedded
-in run reports) and :meth:`MetricsRegistry.render_prometheus`
-(Prometheus text exposition format; histograms render as summaries).
+The exporter is :meth:`MetricsRegistry.snapshot` (a JSON-ready dict,
+embedded in run reports).
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ __all__ = [
 #: quantile estimation; count/sum/min/max stay exact beyond it).
 DEFAULT_RESERVOIR = 1024
 
-#: The quantiles reported by snapshots and the Prometheus exporter.
+#: The quantiles reported by snapshots.
 QUANTILES = (0.5, 0.9, 0.99)
 
 
@@ -291,43 +290,6 @@ class MetricsRegistry:
         """The snapshot serialized as JSON text."""
         return json.dumps(self.snapshot(), indent=indent)
 
-    def render_prometheus(self, prefix: str = "repro") -> str:
-        """The registry in Prometheus text exposition format.
-
-        Counters render as ``<prefix>_<name>_total``, gauges as plain
-        values and histograms as summaries (``quantile`` labels plus
-        ``_count``/``_sum`` series).  Dots and dashes in metric names
-        become underscores.
-        """
-        lines: list[str] = []
-        typed: set[str] = set()
-        for inst in self:
-            base = _prom_name(prefix, inst.name)
-            labels = dict(inst.labels)
-            if isinstance(inst, Counter):
-                name = f"{base}_total"
-                if name not in typed:
-                    lines.append(f"# TYPE {name} counter")
-                    typed.add(name)
-                lines.append(f"{name}{_prom_labels(labels)} {_prom_num(inst.value)}")
-            elif isinstance(inst, Gauge):
-                if base not in typed:
-                    lines.append(f"# TYPE {base} gauge")
-                    typed.add(base)
-                lines.append(f"{base}{_prom_labels(labels)} {_prom_num(inst.value)}")
-            else:
-                if base not in typed:
-                    lines.append(f"# TYPE {base} summary")
-                    typed.add(base)
-                for q in QUANTILES:
-                    qlabels = dict(labels, quantile=repr(q))
-                    lines.append(
-                        f"{base}{_prom_labels(qlabels)} {_prom_num(inst.quantile(q))}"
-                    )
-                lines.append(f"{base}_count{_prom_labels(labels)} {inst.count}")
-                lines.append(f"{base}_sum{_prom_labels(labels)} {_prom_num(inst.sum)}")
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def _format_labels(labels: Mapping[str, str]) -> str:
     """Snapshot key suffix: ``{k=v,...}`` sorted, or empty."""
@@ -335,33 +297,6 @@ def _format_labels(labels: Mapping[str, str]) -> str:
         return ""
     inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
     return "{" + inner + "}"
-
-
-def _prom_name(prefix: str, name: str) -> str:
-    """A Prometheus-legal metric name: prefixed, dots/dashes -> ``_``."""
-    cleaned = "".join(c if (c.isalnum() or c == "_") else "_" for c in name)
-    return f"{prefix}_{cleaned}" if prefix else cleaned
-
-
-def _prom_labels(labels: Mapping[str, str]) -> str:
-    """A Prometheus label block ``{k="v",...}`` sorted, or empty."""
-    if not labels:
-        return ""
-
-    def esc(v: str) -> str:
-        return str(v).replace("\\", "\\\\").replace('"', '\\"')
-
-    inner = ",".join(f'{k}="{esc(v)}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
-def _prom_num(value: float) -> str:
-    """A compact number literal (integers lose the trailing ``.0``)."""
-    if value != value:  # NaN
-        return "NaN"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 # ---------------------------------------------------------------------------

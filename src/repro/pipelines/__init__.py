@@ -6,10 +6,7 @@
 (bench harness, AOT prebuild, autotuner, fuzzer) enumerates.
 """
 
-from repro.pipelines.harris import (
-    blur3x3, blur_input_type, blur_pipeline, gaussian3x3, harris,
-    harris_input_type, harris_output_size, sobel_magnitude,
-)
+from repro.pipelines.harris import gaussian3x3, harris, harris_input_type
 from repro.pipelines import operators
 from repro.pipelines import zoo
 from repro.pipelines import registry

@@ -1,5 +1,5 @@
 """The high-level Harris corner detector in RISE (paper listing 3) and
-additional pipelines used by the examples.
+the 3x3 Gaussian stage the zoo's blur pipelines reuse.
 
 ``harris`` builds the exact dataflow of fig. 5: grayscale, the two sobel
 convolutions, three pointwise products, three 3x3 sums, and coarsity —
@@ -9,18 +9,15 @@ strategies.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.image.reference import HARRIS_KAPPA
-from repro.nat import Nat, nat
-from repro.rise.dsl import arr, fun, let, lit, map_, pipe
-from repro.rise.expr import Expr, Identifier
+from repro.nat import nat
+from repro.rise.dsl import arr, let
+from repro.rise.expr import Expr
 from repro.rise.types import DataType, array, f32
 from repro.pipelines.operators import (
     coarsity,
     conv3x3,
     grayscale,
-    map2d,
     mul2d,
     sobel_x,
     sobel_y,
@@ -30,9 +27,7 @@ from repro.pipelines.operators import (
 __all__ = [
     "harris",
     "harris_input_type",
-    "harris_output_size",
-    "blur3x3",
-    "sobel_magnitude",
+    "gaussian3x3",
 ]
 
 
@@ -84,74 +79,8 @@ def harris_input_type(n=None, m=None) -> DataType:
     return array(3, array(rows, array(cols, f32)))
 
 
-def harris_output_size(input_rows: int, input_cols: int) -> tuple[int, int]:
-    """Output dimensions for a given (rows, cols) input image."""
-    return input_rows - 4, input_cols - 4
-
-
-def blur3x3(image: Expr) -> Expr:
-    """A 3x3 box blur (normalized sum) — an extra pipeline for the examples,
-    built entirely from the same macro layer."""
-    ninth = 1.0 / 9.0
-    blurred = sum3x3(image)
-    return map2d(fun(lambda x: x * lit(ninth)), blurred)
-
-
-def sobel_magnitude(image: Expr) -> Expr:
-    """Approximate gradient magnitude |Ix| + |Iy| via squares (another
-    example pipeline exercising shared inputs like Harris)."""
-    return let(
-        sobel_x(image),
-        lambda ix: let(
-            sobel_y(image),
-            lambda iy: let(
-                mul2d(ix, ix),
-                lambda ixx: let(
-                    mul2d(iy, iy),
-                    lambda iyy: _add2d(ixx, iyy),
-                    name="Iyy",
-                ),
-                name="Ixx",
-            ),
-            name="Iy",
-        ),
-        name="Ix",
-    )
-
-
-def _add2d(a: Expr, b: Expr) -> Expr:
-    from repro.pipelines.operators import map2d, zip2d
-    from repro.rise.dsl import fst, snd
-
-    return map2d(fun(lambda p: fst(p) + snd(p)), zip2d(a, b))
-
-
 def gaussian3x3(image: Expr) -> Expr:
     """A 3x3 Gaussian blur (separable kernel [1,2,1]x[1,2,1] / 16)."""
-    from repro.rise.dsl import arr
-    from repro.pipelines.operators import conv3x3
-
     weights = arr([[1 / 16, 2 / 16, 1 / 16], [2 / 16, 4 / 16, 2 / 16], [1 / 16, 2 / 16, 1 / 16]])
     return conv3x3(weights, image)
 
-
-def blur_pipeline(image: Expr) -> Expr:
-    """A two-stage blur chain — another 'composition of point-wise and
-    stencil operators' (paper section III) used to check that the Harris
-    strategies generalize beyond the case study."""
-    return let(
-        gaussian3x3(image),
-        lambda once: let(
-            gaussian3x3(once),
-            lambda twice: map2d(fun(lambda v: v * lit(2.0) - lit(0.5)), twice),
-            name="twice",
-        ),
-        name="once",
-    )
-
-
-def blur_input_type(n=None, m=None) -> DataType:
-    """[n+4][m+4]f32 for the two-stage blur chain."""
-    rows = (nat(n) if n is not None else nat("n")) + 4
-    cols = (nat(m) if m is not None else nat("m")) + 4
-    return array(rows, array(cols, f32))

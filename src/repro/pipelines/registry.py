@@ -63,7 +63,6 @@ __all__ = [
     "register",
     "make_schedule",
     "applicable_schedules",
-    "strategy_coverage",
     "build_zoo_program",
 ]
 
@@ -297,64 +296,6 @@ def applicable_schedules(
 
     _APPLICABILITY_CACHE[key] = reports
     return reports
-
-
-def strategy_coverage(
-    spec: PipelineSpec | str,
-    chunk: int = 4,
-    vec: int = 4,
-    strip: int = 2,
-) -> dict[str, bool]:
-    """Which *component* strategies fire on one pipeline.
-
-    Reported per transformation rather than per schedule:
-    ``separation`` is probed in the listing-9 position (after fusion,
-    sharing and the parallel split, where the line-stencil shape the
-    separation rules match actually exists), the rest are read off the
-    schedule probes of :func:`applicable_schedules`.
-    """
-    from repro.elevate.core import normalize, try_
-    from repro.rise.traverse import alpha_equal
-    from repro.rules.conv import separate_conv_line, separate_conv_line_zip
-    from repro.strategies.harris import (
-        fuse_operators,
-        harris_ix_with_iy,
-        parallel,
-        simplify,
-        split_pipeline,
-    )
-
-    if isinstance(spec, str):
-        spec = get(spec)
-    reports = applicable_schedules(spec, chunk=chunk, vec=vec, strip=strip)
-
-    prefix = [
-        fuse_operators,
-        harris_ix_with_iy,
-        split_pipeline(chunk),
-        parallel,
-        simplify,
-        harris_ix_with_iy,
-    ]
-    staged = spec.expr()
-    for step in prefix:
-        staged = step.apply(staged)
-    separated = try_(normalize(separate_conv_line | separate_conv_line_zip)).apply(staged)
-
-    cbuf = reports["cbuf"]
-    par = reports["cbuf-par"]
-    strip_fired = (
-        par.lowers
-        and cbuf.lowers
-        and par.markers.get("Split", 0) > cbuf.markers.get("Split", 0)
-    )
-    return {
-        "separation": not alpha_equal(staged, separated),
-        "circular-buffer": cbuf.applies,
-        "rotation": reports["cbuf-rot"].applies,
-        "vectorize": bool(cbuf.markers.get("MapSeqVec", 0)),
-        "strip-parallel": strip_fired,
-    }
 
 
 # ----------------------------------------------------------------------

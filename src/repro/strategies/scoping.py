@@ -13,7 +13,7 @@ from repro.elevate.core import Failure, RewriteResult, Strategy, Success
 from repro.rise.expr import App, Expr, Lambda, MapGlobal, MapSeq, Primitive
 from repro.rise.traverse import app_spine, from_spine
 
-__all__ = ["down_arg", "in_chunk_function", "typed_rewrite"]
+__all__ = ["down_arg", "in_chunk_function"]
 
 
 def down_arg(strategy: Strategy) -> Strategy:
@@ -80,25 +80,3 @@ def in_chunk_function(strategy: Strategy) -> Strategy:
     wrapper = Strategy(run, f"inChunkFunction({strategy.name})")
     return wrapper
 
-
-def typed_rewrite(name: str, type_env, node_rewriter) -> Strategy:
-    """Build a strategy that may inspect inferred types.
-
-    ``node_rewriter(expr, typing)`` returns the rewritten expression or
-    None.  Types are inferred once per application over the whole program,
-    which keeps rules that need type information (such as vectorization's
-    divisibility/scalar-element conditions) out of the untyped core.
-    """
-    from repro.elevate.core import rule
-    from repro.rise.typecheck import infer_types
-    from repro.rise.types import TypeError_
-
-    @rule(name)
-    def run(expr: Expr):
-        try:
-            typing = infer_types(expr, type_env)
-        except TypeError_:
-            return None
-        return node_rewriter(expr, typing)
-
-    return run

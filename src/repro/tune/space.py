@@ -124,8 +124,8 @@ def default_action_pool(
     9 compose.  Nothing in the pool is specific to Harris: split, strip
     and vector factors are grid parameters, the separation rules match
     any constant-size stencil, and the registry's
-    :func:`~repro.pipelines.registry.strategy_coverage` reports which
-    moves fire on which registered pipeline.  The vocabulary:
+    :func:`~repro.pipelines.registry.applicable_schedules` reports which
+    schedules fire on which registered pipeline.  The vocabulary:
 
     * ``fuse`` — inline and fuse the dataflow graph into a line pipeline;
     * ``split(c)+parallel`` — chunk the output into ``c``-line chunks and

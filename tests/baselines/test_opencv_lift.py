@@ -84,20 +84,40 @@ class TestLift:
             assert LoopKind.PARALLEL in kinds, fn.name
 
     def test_generic_pipeline_compiler(self, image):
-        """compile_pipeline_per_operator works for other Let pipelines too."""
-        from repro.pipelines import sobel_magnitude
-        from repro.pipelines.harris import harris_input_type
-        from repro.rise import Identifier
-        from repro.rise.types import array2d, f32
+        """compile_pipeline_per_operator works for other Let pipelines too:
+        here the gradient magnitude ``Ix^2 + Iy^2`` of a gray image, one
+        let-bound stage per operator."""
         from repro.nat import nat
+        from repro.pipelines.operators import map2d, mul2d, sobel_x, sobel_y, zip2d
+        from repro.rise import Identifier
+        from repro.rise.dsl import fst, fun, let, snd
+        from repro.rise.types import array2d, f32
 
+        img = Identifier("img")
+        sobel_magnitude = let(
+            sobel_x(img),
+            lambda ix: let(
+                sobel_y(img),
+                lambda iy: let(
+                    mul2d(ix, ix),
+                    lambda ixx: let(
+                        mul2d(iy, iy),
+                        lambda iyy: map2d(fun(lambda p: fst(p) + snd(p)), zip2d(ixx, iyy)),
+                        name="Iyy",
+                    ),
+                    name="Ixx",
+                ),
+                name="Iy",
+            ),
+            name="Ix",
+        )
         img2d = synthetic_rgb(12, 14)[0]
         prog = compile_pipeline_per_operator(
-            sobel_magnitude(Identifier("img")),
+            sobel_magnitude,
             {"img": array2d(nat("n") + 4, nat("m") + 4, f32)},
             name="sobelmag",
         )
-        # sobel_magnitude applies one 3x3 stage: output is [n+2][m+2]
+        # one 3x3 stage: output is [n+2][m+2]
         out = repro.compile(prog, sizes={"n": 8, "m": 10}).run(img=img2d)
         expected = reference.sobel_x(img2d) ** 2 + reference.sobel_y(img2d) ** 2
         np.testing.assert_allclose(

@@ -1,4 +1,5 @@
-"""Smoke tests for the experiment harness (full runs live in benchmarks/)."""
+"""Smoke tests for the experiment harness (the paper's claims are
+``tests/bench/test_paper_claims.py``)."""
 
 import pytest
 

@@ -101,23 +101,6 @@ class TestRegistry:
         assert snap["histograms"]["lat_ms"]["count"] == 1
         assert snap["histograms"]["lat_ms"]["p50"] == 1.5
 
-    def test_prometheus_exposition(self):
-        reg = MetricsRegistry()
-        reg.counter("engine.cache.hits", tier="memory").inc(3)
-        reg.gauge("engine.cache.memory_entries").set(5)
-        h = reg.histogram("engine.run.latency_ms", backend="c")
-        for v in (1.0, 2.0, 3.0):
-            h.observe(v)
-        text = reg.render_prometheus()
-        assert '# TYPE repro_engine_cache_hits_total counter' in text
-        assert 'repro_engine_cache_hits_total{tier="memory"} 3' in text
-        assert '# TYPE repro_engine_cache_memory_entries gauge' in text
-        assert 'repro_engine_cache_memory_entries 5' in text
-        assert '# TYPE repro_engine_run_latency_ms summary' in text
-        assert 'repro_engine_run_latency_ms{backend="c",quantile="0.5"} 2' in text
-        assert 'repro_engine_run_latency_ms_count{backend="c"} 3' in text
-        assert 'repro_engine_run_latency_ms_sum{backend="c"} 6' in text
-
     def test_reset_clears(self):
         reg = MetricsRegistry()
         reg.counter("a").inc()

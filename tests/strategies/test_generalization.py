@@ -1,8 +1,11 @@
 """The paper claims its optimizations 'are generalizable and applicable to
 other such compositions' (section III).  These tests apply the *unchanged*
-Harris schedules to a different pipeline — a two-stage Gaussian blur chain
-with a pointwise tail — and check correctness and the expected low-level
-structure."""
+Harris schedules to a different pipeline — the zoo's two-stage Gaussian
+blur chain with a pointwise ``2v - 0.5`` tail, a composition no registry
+entry has — and check correctness and the expected low-level structure.
+That the rotation pays off on the registry's ``gaussian-blur`` on every
+modeled CPU is row ``G.gaussian-blur`` of
+:func:`repro.bench.harness.paper_claims`."""
 
 import numpy as np
 import pytest
@@ -10,12 +13,28 @@ import pytest
 import repro
 from repro.codegen import compile_program
 from repro.image import synthetic_rgb, reference
-from repro.pipelines import blur_input_type, blur_pipeline
+from repro.pipelines import gaussian3x3
+from repro.pipelines.operators import map2d
+from repro.pipelines.zoo import gaussian_blur_input_type
 from repro.rise import Identifier
+from repro.rise.dsl import fun, let, lit
 from repro.rise.traverse import subterms
 from repro.strategies import cbuf_rrot_version, cbuf_version
 
-SENV = {"img": blur_input_type()}
+SENV = {"img": gaussian_blur_input_type()}
+
+
+def blur_pipeline(image):
+    """Two chained 3x3 Gaussians, then ``2v - 0.5`` per pixel."""
+    return let(
+        gaussian3x3(image),
+        lambda once: let(
+            gaussian3x3(once),
+            lambda twice: map2d(fun(lambda v: v * lit(2.0) - lit(0.5)), twice),
+            name="twice",
+        ),
+        name="once",
+    )
 
 
 def _reference(image: np.ndarray) -> np.ndarray:
@@ -55,17 +74,3 @@ class TestBlurGeneralization:
         low = cbuf_rrot_version(SENV, chunk=4, vec=4).apply(blur_pipeline(Identifier("img")))
         kinds = [type(n).__name__ for n in subterms(low)]
         assert kinds.count("RotateValues") >= 1
-
-    def test_rot_costs_less_than_cbuf(self, blur_case):
-        from repro.perf import CORTEX_A53, estimate_runtime_ms
-
-        progs = {}
-        for make in (cbuf_version, cbuf_rrot_version):
-            sched = make(SENV, chunk=32, vec=4)
-            progs[sched.name] = compile_program(
-                sched.apply(blur_pipeline(Identifier("img"))), SENV, "blur"
-            )
-        sizes = {"n": 1536, "m": 2556}
-        cbuf = estimate_runtime_ms(progs["rise-cbuf"], sizes, CORTEX_A53, "opencl")
-        rot = estimate_runtime_ms(progs["rise-cbuf-rrot"], sizes, CORTEX_A53, "opencl")
-        assert rot.runtime_ms < cbuf.runtime_ms

@@ -4,8 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -36,10 +34,3 @@ def test_extending_the_compiler():
     out = _run("extending_the_compiler.py")
     assert "matches the numpy reference" in out
     assert "dropUnitMultiply" in out
-
-
-@pytest.mark.slow
-def test_evaluation_figures(tmp_path):
-    out = _run("evaluation_figures.py")
-    assert "Fig. 8" in out
-    assert "Section V-B claims" in out

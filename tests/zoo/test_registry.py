@@ -36,6 +36,13 @@ EXPECTED_APPLICABILITY = {
     "pyramid": {"naive"},
 }
 
+#: Where convolution separation fires.  The matrix alone does not pin
+#: it: where it never fires (and so rotation has no separated line to
+#: rotate), the cbuf-rot lowering carries exactly cbuf's markers.
+#: sobel-magnitude's post-sharing stencils are not separable; pyramid's
+#: stride-2 slides are not line stencils at all.
+SEPARATED = {"harris", "gaussian-blur", "unsharp-mask", "box-blur"}
+
 
 class TestCatalog:
     def test_registry_contains_the_zoo(self):
@@ -126,6 +133,22 @@ class TestApplicability:
         assert applying == EXPECTED_APPLICABILITY[name]
         # Everything lowers, even schedules whose optimization no-ops.
         assert all(r.lowers for r in reports.values())
+        separated = reports["cbuf-rot"].markers != reports["cbuf"].markers
+        assert separated == (name in SEPARATED)
+        # Every pipeline vectorizes, pyramid too although nothing of it
+        # is buffered.
+        assert reports["cbuf"].markers["MapSeqVec"] > 0
+
+    def test_three_pipelines_take_every_component(self):
+        """Separation, circular buffering and strip parallelization each
+        apply to at least three registered pipelines (the matrix test
+        checks these constants against the lowered programs)."""
+        fully = [
+            name
+            for name in EXPECTED_PIPELINES
+            if name in SEPARATED and {"cbuf", "cbuf-par"} <= EXPECTED_APPLICABILITY[name]
+        ]
+        assert len(fully) >= 3
 
     def test_applicability_is_cached(self):
         a = registry.applicable_schedules("box-blur", chunk=4, vec=4, strip=2)
@@ -146,29 +169,18 @@ class TestApplicability:
 
 
 class TestStrategyCoverage:
-    def test_acceptance_floor_three_pipelines_fully_covered(self):
-        """Separation, circular buffering and strip parallelization must
-        each apply to at least three registered pipelines."""
-        fully = [
-            name
-            for name in registry.names()
-            if all(
-                registry.strategy_coverage(name)[key]
-                for key in ("separation", "circular-buffer", "strip-parallel")
-            )
-        ]
-        assert len(fully) >= 3
-
     def test_pyramid_gets_vectorize_but_not_buffering(self):
-        cov = registry.strategy_coverage("pyramid")
-        assert cov["vectorize"]
-        assert not cov["circular-buffer"]
-        assert not cov["rotation"]
+        reports = registry.applicable_schedules("pyramid", chunk=4, vec=4, strip=2)
+        assert reports["cbuf"].markers["MapSeqVec"] > 0
+        assert reports["cbuf"].markers["CircularBuffer"] == 0
+        assert reports["cbuf-rot"].markers["RotateValues"] == 0
 
     def test_sobel_magnitude_has_no_separation(self):
-        cov = registry.strategy_coverage("sobel-magnitude")
-        assert not cov["separation"]
-        assert cov["circular-buffer"]
+        reports = registry.applicable_schedules(
+            "sobel-magnitude", chunk=4, vec=4, strip=2
+        )
+        assert reports["cbuf-rot"].markers == reports["cbuf"].markers
+        assert reports["cbuf"].markers["CircularBuffer"] > 0
 
 
 class TestZooBuilder:
