@@ -20,12 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.bench.zoo import zoo_request
+from repro.bench.zoo import zoo_grid, zoo_request
 from repro.engine import Engine, default_engine
 from repro.image import ImageSpec, PAPER_IMAGE_LARGE, PAPER_IMAGE_SMALL
 from repro.perf.cost import CostReport, estimate_runtime_ms
 from repro.perf.machines import ALL_MACHINES, Machine
 from repro.pipelines import registry
+from repro.strategies.schedules import DEFAULT_CHUNK, DEFAULT_VEC
 
 __all__ = [
     "IMPLEMENTATIONS",
@@ -36,10 +37,11 @@ __all__ = [
     "Claim",
     "paper_claims",
     "Fig8Cell",
+    "modeled_cells",
     "run_report",
 ]
 
-#: Fig. 8 implementation label (the ledger's cell name) -> the schedule
+#: Fig. 8 implementation label (the modeled cell's name) -> the schedule
 #: of the registry's ``harris`` spec that implements it.
 IMPLEMENTATIONS = {
     "OpenCV": "opencv",
@@ -48,9 +50,6 @@ IMPLEMENTATIONS = {
     "RISE (cbuf)": "cbuf",
     "RISE (cbuf+rot)": "cbuf-rot",
 }
-
-DEFAULT_CHUNK = 32
-DEFAULT_VEC = 4
 
 
 def _kind(implementation: str) -> str:
@@ -114,6 +113,24 @@ def fig8_grid(
                 cells.append(
                     Fig8Cell(machine.name, image.name, name, report.runtime_ms, report)
                 )
+    return cells
+
+
+def modeled_cells() -> dict[str, float]:
+    """Every modeled cell of the analytic cost model as one flat
+    ``{key: runtime_ms}`` map: the fig. 8 grid at the paper's chunk and
+    vector width under ``machine|image|implementation`` keys, merged with
+    the cells of :func:`repro.bench.zoo.zoo_grid`
+    (``zoo|pipeline|schedule|machine``).
+
+    ``tests/bench/modeled_cells.json`` pins this map exactly; the
+    ``cells`` command of this module's CLI regenerates it.
+    """
+    cells = {
+        f"{cell.machine}|{cell.image}|{cell.implementation}": float(cell.runtime_ms)
+        for cell in fig8_grid()
+    }
+    cells.update((cell.key, float(cell.runtime_ms)) for cell in zoo_grid())
     return cells
 
 
@@ -400,21 +417,20 @@ def format_fig8(cells: list[Fig8Cell]) -> str:
 
 
 def _main() -> None:
-    """CLI entry: observed run reports, figures and regression tracking.
+    """CLI entry: observed run reports, figures and the modeled cells.
 
     Commands (``run_report`` is the default, so the historical
     ``python -m repro.bench.harness --report x.json`` form still works):
 
     * ``run_report`` — one observed compile-and-validate run: writes the
-      JSON run report, appends a min-of-k sample of modeled cells to the
-      benchmark trajectory (``BENCH_trajectory.json``; disable with
-      ``--no-trajectory``), and optionally exports the run's spans as
-      Chrome trace JSON (``--trace-out``);
-    * ``fig8`` — print the paper's fig. 8 runtime grid.
+      JSON run report and optionally exports the run's spans as Chrome
+      trace JSON (``--trace-out``);
+    * ``fig8`` — print the paper's fig. 8 runtime grid;
+    * ``cells`` — print :func:`modeled_cells` as sorted JSON, the
+      contents of ``tests/bench/modeled_cells.json``.
     """
     import argparse
-
-    from repro.bench.regress import DEFAULT_TRAJECTORY, append_sample, collect_sample
+    import json
 
     parser = argparse.ArgumentParser(
         description="Run the harness once and emit a JSON observability report."
@@ -423,7 +439,7 @@ def _main() -> None:
         "command",
         nargs="?",
         default="run_report",
-        choices=("run_report", "fig8"),
+        choices=("run_report", "fig8", "cells"),
         help="what to run (default: %(default)s)",
     )
     parser.add_argument("--report", default="bench_report.json", help="output JSON path")
@@ -432,30 +448,17 @@ def _main() -> None:
     parser.add_argument("--height", type=int, default=36, help="validation image height")
     parser.add_argument("--width", type=int, default=36, help="validation image width")
     parser.add_argument(
-        "--k", type=int, default=3, help="min-of-k repeats per trajectory cell"
-    )
-    parser.add_argument(
-        "--trajectory",
-        default=DEFAULT_TRAJECTORY,
-        help="benchmark trajectory ledger to append to (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-trajectory",
-        action="store_true",
-        help="do not append a sample to the trajectory ledger",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         help="also export the run's spans as Chrome trace-event JSON",
     )
-    parser.add_argument(
-        "--no-zoo",
-        action="store_true",
-        help="do not merge the pipeline-zoo cost cells (zoo|...) into "
-        "the trajectory sample",
-    )
     args = parser.parse_args()
+
+    if args.command == "cells":
+        if (args.chunk, args.vec) != (DEFAULT_CHUNK, DEFAULT_VEC):
+            parser.error("cells is pinned at the default --chunk and --vec")
+        print(json.dumps(modeled_cells(), indent=2, sort_keys=True))
+        return
 
     if args.command == "fig8":
         print(format_fig8(fig8_grid(chunk=args.chunk, vec=args.vec)))
@@ -473,25 +476,6 @@ def _main() -> None:
     print(f"\nwrote {args.report}")
     if args.trace_out:
         print(f"wrote {args.trace_out}")
-    if not args.no_trajectory:
-        zoo = None
-        if not args.no_zoo:
-            from repro.bench.zoo import zoo_cells
-
-            zoo = zoo_cells()
-        sample = collect_sample(
-            chunk=args.chunk,
-            vec=args.vec,
-            k=args.k,
-            metrics=report.metrics.get("registry", {}),
-            extra={"batch": report.engine.get("batch", {})},
-            cells=zoo,
-        )
-        doc = append_sample(args.trajectory, sample)
-        print(
-            f"appended sample {sample['git_sha']} to {args.trajectory} "
-            f"({len(doc['samples'])} sample(s))"
-        )
 
 
 if __name__ == "__main__":

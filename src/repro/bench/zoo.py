@@ -5,16 +5,16 @@ this module covers the whole :mod:`pipeline registry
 <repro.pipelines.registry>`: each registered pipeline is lowered under
 every *applicable* named schedule (applicability detected structurally,
 see :func:`repro.pipelines.registry.applicable_schedules`) and costed on
-every modeled ARM CPU.  The result is one trajectory cell per
+every modeled ARM CPU.  The result is one modeled cell per
 ``(pipeline, schedule, machine)``::
 
     zoo|<pipeline>|<schedule>|<machine>
 
 including the baseline schedules of pipelines that register external
-implementations (Harris: ``halide``, ``opencv``, ``lift``).  Zoo
-cells ride into ``BENCH_trajectory.json`` through the same sample
-mechanism as the fig. 8 grid and, like them, are deterministic
-cost-model outputs gated by the regression comparison.
+implementations (Harris: ``halide``, ``opencv``, ``lift``).  Zoo cells
+are deterministic cost-model outputs; together with the fig. 8 grid
+they are :func:`repro.bench.harness.modeled_cells`, pinned exactly by
+``tests/bench/modeled_cells.json``.
 
 The module also hosts the CI ``zoo-smoke``: compile every registered
 pipeline on every available backend under one schedule and validate
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.bench.regress import ZOO_CELL_PREFIX
 from repro.engine import BACKENDS, CompileRequest, Engine, default_engine
 from repro.perf.cost import CostReport, estimate_runtime_ms
 from repro.perf.machines import ALL_MACHINES, Machine
@@ -45,11 +44,13 @@ __all__ = [
     "SmokeRow",
     "zoo_request",
     "zoo_grid",
-    "zoo_cells",
     "zoo_smoke",
     "format_zoo",
     "format_smoke",
 ]
+
+#: Prefix of every zoo cell key: ``zoo|<pipeline>|<schedule>|<machine>``.
+ZOO_CELL_PREFIX = "zoo|"
 
 #: Zoo scheduling granularity.  Smaller than the paper's chunk=32 so the
 #: registry's minimal legal sizes stay small and the probe stays fast;
@@ -81,7 +82,7 @@ class ZooCell:
 
     @property
     def key(self) -> str:
-        """Trajectory cell name: ``zoo|<pipeline>|<schedule>|<machine>``."""
+        """Modeled cell name: ``zoo|<pipeline>|<schedule>|<machine>``."""
         return f"{ZOO_CELL_PREFIX}{self.pipeline}|{self.schedule}|{self.machine}"
 
 
@@ -146,23 +147,6 @@ def zoo_grid(
                     ZooCell(name, label, machine.name, report.runtime_ms, report)
                 )
     return cells
-
-
-def zoo_cells(
-    pipelines: list[str] | None = None,
-    chunk: int = DEFAULT_ZOO_CHUNK,
-    vec: int = DEFAULT_ZOO_VEC,
-    strip: int = DEFAULT_ZOO_STRIP,
-    engine: Engine | None = None,
-) -> dict[str, float]:
-    """The zoo grid as a flat ``{cell key: runtime_ms}`` map, ready to
-    merge into a trajectory sample."""
-    return {
-        c.key: float(c.runtime_ms)
-        for c in zoo_grid(
-            pipelines=pipelines, chunk=chunk, vec=vec, strip=strip, engine=engine
-        )
-    }
 
 
 @dataclass
@@ -272,14 +256,12 @@ def format_smoke(rows: list[SmokeRow]) -> str:
 
 
 def _main() -> None:
-    """CLI entry: zoo grid, smoke validation, and trajectory appends.
+    """CLI entry: zoo grid and smoke validation.
 
     * ``grid`` (default) — print the modeled zoo cost table;
     * ``smoke`` — compile every registered pipeline on every available
       backend under one schedule and PSNR-validate against the NumPy
-      references (exit 1 on any failure; the CI ``zoo-smoke`` job);
-    * ``append`` — collect one trajectory sample with the zoo cells
-      merged in and append it to the ledger.
+      references (exit 1 on any failure; the CI ``zoo-smoke`` job).
     """
     import argparse
     import sys
@@ -289,7 +271,7 @@ def _main() -> None:
         "command",
         nargs="?",
         default="grid",
-        choices=("grid", "smoke", "append"),
+        choices=("grid", "smoke"),
         help="what to run (default: %(default)s)",
     )
     parser.add_argument("--chunk", type=int, default=DEFAULT_ZOO_CHUNK)
@@ -318,15 +300,6 @@ def _main() -> None:
         "--psnr-floor", type=float, default=DEFAULT_PSNR_FLOOR_DB,
         help="smoke validation bar in dB (default: %(default)s)",
     )
-    parser.add_argument(
-        "--k", type=int, default=3, help="min-of-k repeats for the append sample"
-    )
-    parser.add_argument(
-        "--trajectory",
-        default=None,
-        help="trajectory ledger for the append command "
-        "(default: repro.bench.regress.DEFAULT_TRAJECTORY)",
-    )
     args = parser.parse_args()
 
     if args.command == "smoke":
@@ -349,29 +322,6 @@ def _main() -> None:
             print(f"\n{len(failures)} validation failure(s)", file=sys.stderr)
             raise SystemExit(1)
         print(f"\nall {len(rows)} (pipeline, backend) cells validated")
-        return
-
-    if args.command == "append":
-        from repro.bench.regress import (
-            DEFAULT_TRAJECTORY,
-            append_sample,
-            collect_sample,
-        )
-
-        cells = zoo_cells(
-            pipelines=args.pipelines, chunk=args.chunk, vec=args.vec, strip=args.strip
-        )
-        sample = collect_sample(
-            k=args.k,
-            cells=cells,
-            extra={"zoo": {"chunk": args.chunk, "vec": args.vec, "strip": args.strip}},
-        )
-        path = args.trajectory or DEFAULT_TRAJECTORY
-        doc = append_sample(path, sample)
-        print(
-            f"appended sample {sample['git_sha']} with {len(cells)} zoo cell(s) "
-            f"to {path} ({len(doc['samples'])} sample(s))"
-        )
         return
 
     print(

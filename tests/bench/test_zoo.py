@@ -1,10 +1,11 @@
 """The zoo bench grid: cell naming, applicability filtering, baselines.
 
-The grid feeds ``zoo|<pipeline>|<schedule>|<machine>`` cells into the
-``BENCH_trajectory.json`` ledger, where they are regression-gated like
-every other deterministic cost-model cell — so these tests pin the cell
-key format, the applicability filter (no cells for schedules that do
-not structurally apply), and determinism across runs.
+The grid's ``zoo|<pipeline>|<schedule>|<machine>`` cells are modeled
+cells: their keys and values are pinned exactly by
+``tests/bench/test_modeled_cells.py``.  These tests pin the cell key
+format, the applicability filter (no cells for schedules that do not
+structurally apply), determinism, the machine coverage of the default
+grid and the smoke validation.
 """
 
 import pytest
@@ -17,18 +18,19 @@ from repro.bench.zoo import (
     ZooCell,
     format_smoke,
     format_zoo,
-    zoo_cells,
     zoo_grid,
     zoo_smoke,
 )
-from repro.engine.pipeline import Engine
+from repro.engine import default_engine
 from repro.perf.machines import ALL_MACHINES
 from repro.pipelines import registry
 
 
 @pytest.fixture(scope="module")
 def engine():
-    return Engine(cache_dir=None)
+    """The process-wide engine: the grid reuses the compiles of
+    ``modeled_cells()`` in ``test_modeled_cells.py``."""
+    return default_engine()
 
 
 @pytest.fixture(scope="module")
@@ -91,8 +93,11 @@ class TestGrid:
         assert after["misses"] == before["misses"]
 
     def test_cells_are_deterministic(self, engine, one_machine):
-        a = zoo_cells(pipelines=["box-blur"], engine=engine)
-        b = zoo_cells(pipelines=["box-blur"], engine=engine)
+        def cells():
+            grid = zoo_grid(pipelines=["box-blur"], engine=engine)
+            return {c.key: c.runtime_ms for c in grid}
+
+        a, b = cells(), cells()
         assert a == b
         assert all(k.startswith(ZOO_CELL_PREFIX) for k in a)
 
@@ -147,11 +152,6 @@ class TestFormatting:
 
 
 class TestCellWiring:
-    def test_prefix_constant_matches_regress(self):
-        from repro.bench.regress import ZOO_CELL_PREFIX as regress_prefix
-
-        assert regress_prefix == ZOO_CELL_PREFIX
-
     def test_zoo_cell_key_property(self):
         from repro.perf.cost import CostReport
 

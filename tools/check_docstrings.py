@@ -26,9 +26,7 @@ CHECKED_PACKAGES = (
     REPO_ROOT / "src" / "repro" / "serve",
     REPO_ROOT / "src" / "repro" / "verify",
     REPO_ROOT / "src" / "repro" / "tune",
-    REPO_ROOT / "tools" / "dashboard.py",
     REPO_ROOT / "tools" / "events.py",
-    REPO_ROOT / "tools" / "bench_compare.py",
 )
 
 

@@ -8,8 +8,8 @@ differential oracle (naive schedule as reference), and compares the
 winner with the hand-written listing 5/9 schedules under the same
 objective.  The winner's modeled cost is printed (and, in the
 ``tune-search`` benchmark workload, reported as the per-layer metric
-``tune.best_cost_ms.<pipeline>``); nothing is written to the benchmark
-trajectory ledger.
+``tune.best_cost_ms.<pipeline>``); it adds no cell to the pinned
+modeled-cell table ``tests/bench/modeled_cells.json``.
 
 The search log (``--log``, default ``TUNE_log.json``) is written after
 every step and is resumable: re-run with ``--resume`` to continue an
