@@ -13,14 +13,9 @@ import csv
 import sys
 from pathlib import Path
 
-from repro.bench import (
-    fig1_normalized,
-    fig8_grid,
-    format_fig8,
-    paper_claims,
-    run_ablation,
-    validate_outputs,
-)
+from repro.bench.ablation import run_ablation
+from repro.bench.harness import fig1_normalized, fig8_grid, format_fig8, paper_claims
+from repro.bench.validation import validate_outputs
 from repro.perf import ALL_MACHINES, vector_load_costs
 
 

@@ -1,9 +1,6 @@
-"""Experiment harness regenerating the paper's figures and claims."""
+"""Experiment harness regenerating the paper's figures and claims.
 
-from repro.bench.harness import (
-    IMPLEMENTATIONS, Claim, Fig8Cell, compile_all, fig1_normalized,
-    fig8_grid, format_fig8, modeled_cells, padded_sizes, paper_claims,
-)
-from repro.bench.validation import ValidationRow, validate_outputs
-from repro.bench.ablation import AblationRow, ablation_variants, run_ablation
-from repro.bench.zoo import SmokeRow, ZooCell, zoo_grid, zoo_smoke
+The submodules are imported by name (``repro.bench.harness``,
+``repro.bench.zoo``, ...): importing them here would load each one
+before ``python -m repro.bench.<module>`` runs it as ``__main__``.
+"""

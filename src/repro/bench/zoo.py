@@ -3,9 +3,9 @@
 Where :mod:`repro.bench.harness` reproduces the paper's Harris figures,
 this module covers the whole :mod:`pipeline registry
 <repro.pipelines.registry>`: each registered pipeline is lowered under
-every *applicable* named schedule (applicability detected structurally,
-see :func:`repro.pipelines.registry.applicable_schedules`) and costed on
-every modeled ARM CPU.  The result is one modeled cell per
+every named schedule that applies to it (one whose compile does not
+raise :class:`~repro.strategies.schedules.ScheduleNotApplicable`) and
+costed on every modeled ARM CPU.  The result is one modeled cell per
 ``(pipeline, schedule, machine)``::
 
     zoo|<pipeline>|<schedule>|<machine>
@@ -32,6 +32,7 @@ from repro.engine import BACKENDS, CompileRequest, Engine, default_engine
 from repro.perf.cost import CostReport, estimate_runtime_ms
 from repro.perf.machines import ALL_MACHINES, Machine
 from repro.pipelines import registry
+from repro.strategies.schedules import ScheduleNotApplicable
 
 __all__ = [
     "ZOO_CELL_PREFIX",
@@ -53,7 +54,7 @@ __all__ = [
 ZOO_CELL_PREFIX = "zoo|"
 
 #: Zoo scheduling granularity.  Smaller than the paper's chunk=32 so the
-#: registry's minimal legal sizes stay small and the probe stays fast;
+#: registry's minimal legal sizes stay small and lowering stays fast;
 #: the cost model sees the same structure either way.
 DEFAULT_ZOO_CHUNK = 4
 DEFAULT_ZOO_VEC = 4
@@ -120,10 +121,10 @@ def zoo_grid(
 ) -> list[ZooCell]:
     """Cost every registered pipeline under every applicable schedule.
 
-    Schedules that do not structurally apply to a pipeline (per the
-    registry's probe) are skipped rather than costed as silent no-ops —
-    a ``zoo|pyramid|cbuf-rot|...`` cell would model the *naive* program
-    and misread as rotation speedup.  A spec's baseline schedules
+    Each (pipeline, schedule) pair is compiled once; a schedule that
+    raises :class:`~repro.strategies.schedules.ScheduleNotApplicable`
+    gets no cell, since a ``zoo|pyramid|cbuf-rot|...`` cell would model
+    a program with no rotation in it.  A spec's baseline schedules
     (Harris: Halide/OpenCV/Lift) are costed alongside under their own
     runtime kinds.
     """
@@ -133,12 +134,12 @@ def zoo_grid(
     cells: list[ZooCell] = []
     for name in pipelines or registry.names():
         spec = registry.get(name)
-        reports = registry.applicable_schedules(spec, chunk=chunk, vec=vec, strip=strip)
-        schedules = [s for s, r in reports.items() if r.applies] + list(spec.baselines)
-        programs = {
-            s: eng.compile_request(zoo_request(name, s, chunk, vec, strip)).program
-            for s in schedules
-        }
+        programs = {}
+        for s in (*registry.SCHEDULE_NAMES, *spec.baselines):
+            try:
+                programs[s] = eng.compile_request(zoo_request(name, s, chunk, vec, strip)).program
+            except ScheduleNotApplicable:
+                pass
         for machine in machines:
             for label, prog in programs.items():
                 kind = spec.runtime_kind(label)

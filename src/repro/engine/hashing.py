@@ -37,9 +37,11 @@ __all__ = [
     "cache_key",
 ]
 
-#: Bumped whenever hashing, pickling or artifact layout changes shape;
-#: part of every cache key so stale on-disk artifacts are never reused.
-ENGINE_VERSION = "repro.engine/v1"
+#: Bumped whenever hashing, pickling or artifact layout changes shape,
+#: or a key stops naming what it used to build; part of every cache key
+#: so stale on-disk artifacts are never reused.  v2: a schedule whose
+#: optimization does not fire fails instead of building a no-op kernel.
+ENGINE_VERSION = "repro.engine/v2"
 
 
 def _hasher() -> "hashlib.blake2b":

@@ -12,10 +12,11 @@ needs:
 * the valid **size domain** (:meth:`PipelineSpec.concrete_sizes` picks
   the smallest sizes legal under a schedule's chunk/vec/strip
   divisibility) and default **parameters** (e.g. the unsharp amount);
-* the **named schedules** that structurally apply to it —
-  *detected* by applying each schedule and inspecting the lowered
-  program for its characteristic patterns (circular buffers, rotating
-  registers, thread strips), never asserted per pipeline;
+* the **named schedules** of one family, offered to every pipeline.
+  Whether one applies is never asserted per pipeline: a schedule whose
+  optimization does not fire (no circular buffer, no rotating
+  registers) raises :class:`~repro.strategies.schedules.ScheduleNotApplicable`
+  when it is applied, so a pair applies when its compile succeeds;
 * its external **baselines** (Harris: Halide, OpenCV, Lift), which are
   further schedule names of the same spec.
 
@@ -37,7 +38,6 @@ import numpy as np
 
 from repro.nat import nat
 from repro.rise.expr import Expr, Identifier
-from repro.rise.traverse import subterms
 from repro.rise.types import ArrayType, DataType
 from repro.strategies.schedules import (
     DEFAULT_CHUNK,
@@ -56,17 +56,15 @@ __all__ = [
     "DEFAULT_SCHEDULE",
     "RISE_KIND",
     "PipelineSpec",
-    "ScheduleReport",
     "REGISTRY",
     "names",
     "get",
     "register",
     "make_schedule",
-    "applicable_schedules",
     "build_zoo_program",
 ]
 
-#: The named schedule family every pipeline is probed against, in
+#: The named schedule family every pipeline is offered, in
 #: optimization order (each adds one more paper transformation).
 SCHEDULE_NAMES = ("naive", "cbuf", "cbuf-rot", "cbuf-par", "cbuf-rot-par")
 
@@ -202,100 +200,6 @@ class PipelineSpec:
     def runtime_kind(self, schedule: str) -> str:
         """The cost model's runtime kind for one of this spec's schedules."""
         return self.baselines[schedule][2] if schedule in self.baselines else RISE_KIND
-
-
-@dataclass(frozen=True)
-class ScheduleReport:
-    """Applicability verdict of one named schedule on one pipeline.
-
-    ``lowers`` records that the schedule produced a compilable program
-    at all; ``applies`` that its characteristic optimization actually
-    fired (strategies are built from ``try_``/``repeat`` and degrade to
-    no-ops on non-matching structure — a no-op is not applicability).
-    ``markers`` counts the witness patterns in the lowered program.
-    """
-
-    schedule: str
-    lowers: bool
-    applies: bool
-    markers: Mapping[str, int] = field(default_factory=dict)
-
-
-_MARKER_KINDS = (
-    "CircularBuffer",
-    "RotateValues",
-    "MapSeqVec",
-    "MapGlobal",
-    "Split",
-)
-
-_APPLICABILITY_CACHE: dict[tuple, dict[str, ScheduleReport]] = {}
-
-
-def _markers(expr: Expr) -> dict[str, int]:
-    kinds = [type(node).__name__ for node in subterms(expr)]
-    return {k: kinds.count(k) for k in _MARKER_KINDS}
-
-
-def applicable_schedules(
-    spec: PipelineSpec | str,
-    chunk: int = 4,
-    vec: int = 4,
-    strip: int = 2,
-) -> dict[str, ScheduleReport]:
-    """Probe every named schedule against one pipeline, structurally.
-
-    Each schedule is applied to the high-level program and the result
-    inspected for the patterns that *are* the optimization: ``cbuf``
-    applies when a :class:`CircularBuffer` materialized, ``cbuf-rot``
-    when rotating registers did, and the ``-par`` variants when strip
-    parallelization introduced a thread-strip ``Split`` on top of an
-    applying base schedule.  ``naive`` applies to anything that lowers.
-    The probe is cached per (pipeline, chunk, vec, strip).
-    """
-    if isinstance(spec, str):
-        spec = get(spec)
-    key = (spec.name, chunk, vec, strip)
-    cached = _APPLICABILITY_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    env = spec.type_env()
-    expr = spec.expr()
-    lowered: dict[str, Expr | None] = {}
-    for name in SCHEDULE_NAMES:
-        sched = make_schedule(name, env, chunk=chunk, vec=vec, strip=strip)
-        try:
-            lowered[name] = sched.apply(expr)
-        except Exception:
-            lowered[name] = None
-
-    reports: dict[str, ScheduleReport] = {}
-    for name in SCHEDULE_NAMES:
-        low = lowered[name]
-        if low is None:
-            reports[name] = ScheduleReport(name, lowers=False, applies=False)
-            continue
-        marks = _markers(low)
-        if name == "naive":
-            applies = True
-        elif name == "cbuf":
-            applies = marks["CircularBuffer"] > 0
-        elif name == "cbuf-rot":
-            applies = marks["RotateValues"] > 0
-        else:
-            base = lowered["cbuf" if name == "cbuf-par" else "cbuf-rot"]
-            base_applies = (
-                marks["CircularBuffer"] > 0
-                if name == "cbuf-par"
-                else marks["RotateValues"] > 0
-            )
-            strip_fired = base is not None and marks["Split"] > _markers(base)["Split"]
-            applies = base_applies and strip_fired
-        reports[name] = ScheduleReport(name, lowers=True, applies=applies, markers=marks)
-
-    _APPLICABILITY_CACHE[key] = reports
-    return reports
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +347,9 @@ def build_zoo_program(
     :class:`~repro.codegen.ir.ImpProgram`.  All options are plain JSON
     values, so every kernel is addressable, and content-addressed,
     through :class:`~repro.engine.request.CompileRequest`.  A baseline
-    builder gets the same ``chunk``/``vec`` grid as the family.
+    builder gets the same ``chunk``/``vec`` grid as the family.  A
+    family schedule that does not apply to the pipeline raises
+    :class:`~repro.strategies.schedules.ScheduleNotApplicable`.
     """
     from repro.codegen.lower import compile_program
     from repro.engine.hashing import strategy_identity

@@ -6,7 +6,7 @@ with no schedule decisions baked in — paired with a NumPy reference
 implementation used for PSNR validation, differential testing and
 fuzzing.  The catalog lives in :mod:`repro.pipelines.registry`, which
 maps every builder to its input type, size domain and the named
-schedules that structurally apply to it.
+schedule family (a schedule that does not apply raises when applied).
 
 Design notes that make the strategies transfer:
 

@@ -13,9 +13,11 @@ slice of the pipeline registry) into a shared artifact store, then writes an
 keys and, for C kernels, to the resolved ``cflags`` they were built
 with (so an install script can see the ISA level a store targets: a
 store built with ``-march=x86-64-v3`` is a clean miss on a host without
-it).  Any later process pointing an engine at the same store —
-including every :class:`~repro.serve.server.Server` worker — warm-starts
-each of those kernels from disk without running a single compiler phase.
+it), and listing the kernels skipped because their schedule does not
+apply to their pipeline.  Any later process pointing an engine at the
+same store — including every :class:`~repro.serve.server.Server`
+worker — warm-starts each of those kernels from disk without running a
+single compiler phase.
 
 The manifest is provenance, not a lookup table the engine needs: the
 store stays content-addressed, and a serving process reconstructs the
@@ -62,18 +64,15 @@ def zoo_kernel_requests(
     pipelines: Sequence[str] | None = None,
     schedules: Sequence[str] | None = None,
     sizes: dict | None = None,
-    applicable_only: bool = True,
 ) -> list[tuple[str, CompileRequest]]:
-    """The registry-wide kernel set: every zoo pipeline x its schedules.
+    """The registry-wide kernel set: every zoo pipeline x every schedule.
 
     Enumerates the :mod:`pipeline registry <repro.pipelines.registry>`
     and emits one ``(kernel_name, request)`` pair per (pipeline,
     schedule, backend), addressed through the engine's ``"zoo"``
     source so the requests are plain JSON options — exactly
-    what a serving process reconstructs.  With ``applicable_only`` (the
-    default) only schedules that structurally apply to each pipeline are
-    prebuilt; prebuilding a no-op schedule would publish a kernel
-    identical to naive under an optimized name.
+    what a serving process reconstructs.  The set is the full product:
+    :func:`prebuild` skips a pair whose schedule does not apply.
     """
     from repro.pipelines import registry
     from repro.strategies.schedules import DEFAULT_STRIP, DEFAULT_VEC
@@ -81,39 +80,21 @@ def zoo_kernel_requests(
     chunk = chunk if chunk is not None else DEFAULT_AOT_CHUNK
     vec = vec if vec is not None else DEFAULT_VEC
     strip = strip if strip is not None else DEFAULT_STRIP
-    names = tuple(pipelines) if pipelines is not None else registry.names()
-    requests: list[tuple[str, CompileRequest]] = []
-    for pipeline in names:
-        spec = registry.get(pipeline)
-        if schedules is not None:
-            wanted = tuple(schedules)
-        elif applicable_only:
-            reports = registry.applicable_schedules(
-                spec, chunk=chunk, vec=vec, strip=strip
-            )
-            wanted = tuple(s for s in registry.SCHEDULE_NAMES if reports[s].applies)
-        else:
-            wanted = registry.SCHEDULE_NAMES
-        for backend in backends:
-            for schedule in wanted:
-                requests.append(
-                    (
-                        f"zoo-{pipeline}-{schedule}@{backend}",
-                        CompileRequest(
-                            source="zoo",
-                            options={
-                                "pipeline": pipeline,
-                                "schedule": schedule,
-                                "chunk": chunk,
-                                "vec": vec,
-                                "strip": strip,
-                            },
-                            backend=backend,
-                            sizes=sizes,
-                        ),
-                    )
-                )
-    return requests
+    grid = {"chunk": chunk, "vec": vec, "strip": strip}
+    return [
+        (
+            f"zoo-{pipeline}-{schedule}@{backend}",
+            CompileRequest(
+                source="zoo",
+                options={"pipeline": pipeline, "schedule": schedule, **grid},
+                backend=backend,
+                sizes=sizes,
+            ),
+        )
+        for pipeline in (pipelines if pipelines is not None else registry.names())
+        for backend in backends
+        for schedule in (schedules if schedules is not None else registry.SCHEDULE_NAMES)
+    ]
 
 
 def prebuild(
@@ -125,18 +106,27 @@ def prebuild(
     """Compile every named kernel into ``cache_dir``; returns the manifest.
 
     ``requests`` defaults to the Harris set,
-    ``zoo_kernel_requests(backends, pipelines=("harris",))``.  Re-running over a warm store is cheap and idempotent:
-    already-published kernels are cache hits, and the manifest records
-    per-kernel cache status so an install script can verify that a
-    second pass performed zero builds.
+    ``zoo_kernel_requests(backends, pipelines=("harris",))``.  A kernel
+    whose schedule does not apply is not published but listed in
+    ``skipped`` as ``{kernel, reason}``.  Re-running over a warm store
+    is cheap and idempotent: already-published kernels are cache hits,
+    and the manifest records per-kernel cache status so an install
+    script can verify that a second pass performed zero builds.
     """
+    from repro.strategies.schedules import ScheduleNotApplicable
+
     cache_dir = Path(cache_dir)
     if requests is None:
         requests = zoo_kernel_requests(backends, pipelines=("harris",))
     eng = engine if engine is not None else Engine(cache_dir=cache_dir)
     kernels = []
+    skipped = []
     for kernel_name, request in requests:
-        pipeline = eng.compile_request(request)
+        try:
+            pipeline = eng.compile_request(request)
+        except ScheduleNotApplicable as exc:
+            skipped.append({"kernel": kernel_name, "reason": str(exc)})
+            continue
         kernels.append(
             {
                 "kernel": kernel_name,
@@ -153,6 +143,7 @@ def prebuild(
         "built_at": round(time.time(), 3),
         "store": str(cache_dir),
         "kernels": kernels,
+        "skipped": skipped,
     }
     cache_dir.mkdir(parents=True, exist_ok=True)
     (cache_dir / AOT_MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")

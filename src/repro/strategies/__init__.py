@@ -9,7 +9,8 @@ from repro.strategies.harris import (
     unroll_reductions, use_private_memory, vectorize_reductions,
 )
 from repro.strategies.schedules import (
-    DEFAULT_CHUNK, DEFAULT_STRIP, DEFAULT_VEC, Schedule, cbuf_par_version,
-    cbuf_rrot_par_version, cbuf_rrot_version, cbuf_version, naive_version,
+    DEFAULT_CHUNK, DEFAULT_STRIP, DEFAULT_VEC, Schedule, ScheduleNotApplicable,
+    cbuf_par_version, cbuf_rrot_par_version, cbuf_rrot_version, cbuf_version,
+    markers, naive_version,
 )
 from repro.strategies.scoping import down_arg, in_chunk_function

@@ -3,16 +3,20 @@ baseline lowerings used in the evaluation.
 
 A schedule is a named composition of the strategies of
 :mod:`repro.strategies.harris` that takes a high-level program to a
-low-level program ready for code generation.
+low-level program ready for code generation.  Its ``try_``/``repeat``
+steps change nothing on a program without the structure they rewrite,
+so a schedule fails unless its output has the markers it ``requires``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Iterator, Mapping
 
 from repro.elevate.core import Strategy, StrategyError, normalize, try_
 from repro.rise.expr import Expr
+from repro.rise.traverse import subterms
 from repro.rise.types import Type
 from repro.rules.conv import rotate_values_consume, separate_conv_line, separate_conv_line_zip
 from repro.strategies.harris import (
@@ -31,6 +35,9 @@ from repro.strategies.harris import (
 
 __all__ = [
     "Schedule",
+    "ScheduleNotApplicable",
+    "MARKER_KINDS",
+    "markers",
     "cbuf_version",
     "cbuf_rrot_version",
     "cbuf_par_version",
@@ -49,25 +56,58 @@ DEFAULT_VEC = 4
 DEFAULT_STRIP = 2
 
 
+#: The node kinds that witness a schedule's optimizations in its output.
+MARKER_KINDS = ("CircularBuffer", "RotateValues", "MapSeqVec", "MapGlobal", "Split")
+
+
+def markers(expr: Expr) -> dict[str, int]:
+    """Count the :data:`MARKER_KINDS` nodes of ``expr`` in one walk."""
+    kinds = Counter(type(node).__name__ for node in subterms(expr))
+    return {kind: kinds[kind] for kind in MARKER_KINDS}
+
+
+class ScheduleNotApplicable(StrategyError):
+    """A schedule ran, but the optimization it names did not fire;
+    ``counts`` are the :func:`markers` of the program it produced."""
+
+    def __init__(self, schedule: str, missing: str, counts: Mapping[str, int]):
+        super().__init__(schedule, missing, counts)
+        self.schedule, self.missing, self.counts = schedule, missing, dict(counts)
+
+    def __str__(self) -> str:
+        found = ", ".join(f"{k}={v}" for k, v in self.counts.items())
+        return f"schedule {self.schedule!r} does not apply: no {self.missing} in its output ({found})"
+
+
 @dataclass
 class Schedule:
-    """A named strategy pipeline from high-level to low-level RISE."""
+    """A named strategy pipeline from high-level to low-level RISE whose
+    output must contain the :data:`MARKER_KINDS` it ``requires``."""
 
     name: str
     steps: list[Strategy]
+    requires: tuple[str, ...] = ()
 
     def apply(self, program: Expr) -> Expr:
-        for step in self.steps:
-            program = step.apply(program)
+        """Run every step, then check :attr:`requires`."""
+        for _, program in self._derive(program):
+            pass
         return program
 
     def apply_traced(self, program: Expr) -> list[tuple[str, Expr]]:
         """Apply, returning (step name, program after step) pairs."""
-        trace = [("input", program)]
+        return list(self._derive(program))
+
+    def _derive(self, program: Expr) -> Iterator[tuple[str, Expr]]:
+        yield "input", program
         for step in self.steps:
             program = step.apply(program)
-            trace.append((step.name, program))
-        return trace
+            yield step.name, program
+        if self.requires:
+            counts = markers(program)
+            for kind in self.requires:
+                if not counts[kind]:
+                    raise ScheduleNotApplicable(self.name, kind, counts)
 
 
 def cbuf_version(
@@ -95,6 +135,7 @@ def cbuf_version(
             use_private_memory(),
             unroll_reductions,
         ],
+        requires=("CircularBuffer",),
     )
 
 
@@ -123,6 +164,7 @@ def cbuf_rrot_version(
             use_private_memory(),
             unroll_reductions,
         ],
+        requires=("RotateValues",),
     )
 
 
@@ -135,9 +177,10 @@ def cbuf_par_version(
     """``cbuf+par``: listing 5 plus explicit strip parallelization — the
     chunk-level ``mapGlobal`` is regrouped into per-thread strips of
     ``strip`` chunks (Halide's ``parallel(y)`` with static chunking), so
-    the multicore backends execute one strip per thread."""
+    the multicore backends execute one strip per thread (``stripParallel``
+    fails on a program with no ``mapGlobal``)."""
     base = cbuf_version(type_env, chunk=chunk, vec=vec)
-    return Schedule(name="rise-cbuf-par", steps=[*base.steps, strip_parallel(strip)])
+    return Schedule("rise-cbuf-par", [*base.steps, strip_parallel(strip)], base.requires)
 
 
 def cbuf_rrot_par_version(
@@ -149,9 +192,7 @@ def cbuf_rrot_par_version(
     """``cbuf+rot+par``: listing 9 plus strip parallelization — the
     schedule the wall-clock evaluation runs across thread counts."""
     base = cbuf_rrot_version(type_env, chunk=chunk, vec=vec)
-    return Schedule(
-        name="rise-cbuf-rrot-par", steps=[*base.steps, strip_parallel(strip)]
-    )
+    return Schedule("rise-cbuf-rrot-par", [*base.steps, strip_parallel(strip)], base.requires)
 
 
 def naive_version(type_env: Mapping[str, Type] | None = None) -> Schedule:

@@ -25,6 +25,7 @@ from repro.perf.objective import CostObjective
 from repro.rise.types import Type
 from repro.strategies.schedules import (
     Schedule,
+    ScheduleNotApplicable,
     cbuf_rrot_version,
     cbuf_version,
     naive_version,
@@ -99,7 +100,11 @@ def handwritten_costs(
 
     Returns ``schedule name -> modeled ms`` for ``naive``, ``cbuf`` and
     ``cbuf+rot`` under exactly the search objective, so "matches or
-    beats ``cbuf+rot``" is a comparison of like with like.
+    beats ``cbuf+rot``" is a comparison of like with like.  A schedule
+    that does not apply to ``seed_expr`` (it raises
+    :class:`~repro.strategies.schedules.ScheduleNotApplicable`) is left
+    out; entries keep optimization order, so the last one is the
+    strongest hand-written schedule that applies.
     """
     objective = objective or CostObjective()
     eng = engine if engine is not None else Engine()
@@ -109,12 +114,15 @@ def handwritten_costs(
         cbuf_version(dict(type_env)),
         cbuf_rrot_version(dict(type_env)),
     ):
-        program = eng.compile(
-            seed_expr,
-            strategy=sched,
-            type_env=dict(type_env),
-            name=sched.name.replace("-", "_"),
-        ).program
+        try:
+            program = eng.compile(
+                seed_expr,
+                strategy=sched,
+                type_env=dict(type_env),
+                name=sched.name.replace("-", "_"),
+            ).program
+        except ScheduleNotApplicable:
+            continue
         out[sched.name] = objective.score(program)
     return out
 

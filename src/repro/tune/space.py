@@ -123,9 +123,10 @@ def default_action_pool(
     after moves that duplicate producers), mirroring how listings 5 and
     9 compose.  Nothing in the pool is specific to Harris: split, strip
     and vector factors are grid parameters, the separation rules match
-    any constant-size stencil, and the registry's
-    :func:`~repro.pipelines.registry.applicable_schedules` reports which
-    schedules fire on which registered pipeline.  The vocabulary:
+    any constant-size stencil, and a named schedule that does not fire
+    on a registered pipeline raises
+    :class:`~repro.strategies.schedules.ScheduleNotApplicable`.  The
+    vocabulary:
 
     * ``fuse`` — inline and fuse the dataflow graph into a line pipeline;
     * ``split(c)+parallel`` — chunk the output into ``c``-line chunks and

@@ -1,9 +1,14 @@
 """Smoke tests for the experiment harness (the paper's claims are
 ``tests/bench/test_paper_claims.py``)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.bench import compile_all, padded_sizes
+from repro.bench.harness import compile_all, padded_sizes
 from repro.image import PAPER_IMAGE_LARGE, PAPER_IMAGE_SMALL
 
 
@@ -39,3 +44,19 @@ class TestHarness:
         assert len(programs["RISE (cbuf)"].functions) == 1
         assert len(programs["Lift"].functions) > 1
         assert len(programs["OpenCV"].functions) > 1
+
+
+@pytest.mark.parametrize("module", ["repro.bench.harness", "repro.bench.zoo"])
+def test_module_cli_runs_one_copy_of_itself(module):
+    """``python -m repro.bench.<module>`` must not find the module already
+    imported by its package (runpy then warns and runs a second copy)."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", module, "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -3,9 +3,9 @@
 The grid's ``zoo|<pipeline>|<schedule>|<machine>`` cells are modeled
 cells: their keys and values are pinned exactly by
 ``tests/bench/test_modeled_cells.py``.  These tests pin the cell key
-format, the applicability filter (no cells for schedules that do not
-structurally apply), determinism, the machine coverage of the default
-grid and the smoke validation.
+format, the applicability filter (no cells for schedules that raise
+``ScheduleNotApplicable``), one rewrite per pair, determinism, the
+machine coverage of the default grid and the smoke validation.
 """
 
 import pytest
@@ -100,6 +100,14 @@ class TestGrid:
         a, b = cells(), cells()
         assert a == b
         assert all(k.startswith(ZOO_CELL_PREFIX) for k in a)
+
+    def test_each_schedule_is_applied_once(self, fresh_zoo_grid):
+        """A fresh grid rewrites each (pipeline, schedule) pair once: the
+        30 family pairs, the 6 that do not apply included; the Harris
+        baselines are not schedules."""
+        _, cells, applied = fresh_zoo_grid
+        assert len(applied) == len(registry.names()) * len(registry.SCHEDULE_NAMES) == 30
+        assert len(cells) == 24 + 3
 
     def test_grid_covers_all_machines_by_default(self, engine):
         cells = zoo_grid(pipelines=["pyramid"], engine=engine)

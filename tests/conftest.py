@@ -6,6 +6,8 @@ Conventions enforced here:
   are *skipped with a reason* on machines without one, never failed.
 * ``fresh_metrics_registry`` — metrics tests get an isolated registry
   instead of depending on global-state ordering between tests.
+* ``fresh_zoo_grid`` — one cold compile of the whole default zoo grid
+  per session, shared by the suites that need every pair compiled.
 * ``small_image`` — one shared, deterministically seeded RGB test image
   (the repo-wide seeding convention: every data source takes an explicit
   seed or ``numpy.random.Generator``; nothing touches numpy's global
@@ -64,3 +66,28 @@ def fresh_engine():
     from repro.engine.pipeline import Engine
 
     return Engine(cache_dir=None)
+
+
+@pytest.fixture(scope="session")
+def fresh_zoo_grid():
+    """The default zoo grid on one machine, compiled once on a fresh
+    private engine with every ``Schedule.apply`` call recorded:
+    ``(engine, cells, applied schedule names)``.  The engine then holds
+    each applicable default zoo kernel on the Python backend."""
+    from repro.bench.zoo import zoo_grid
+    from repro.engine.pipeline import Engine
+    from repro.perf.machines import ALL_MACHINES
+    from repro.strategies.schedules import Schedule
+
+    applied = []
+    apply = Schedule.apply
+
+    def recorded(self, program):
+        applied.append(self.name)
+        return apply(self, program)
+
+    engine = Engine(cache_dir=None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Schedule, "apply", recorded)
+        cells = zoo_grid(machines=ALL_MACHINES[:1], engine=engine)
+    return engine, cells, applied

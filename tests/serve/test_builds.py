@@ -6,7 +6,8 @@ else is built in a worker thread (:func:`repro.serve.builds_out_of_process`
 is the one rule).  These tests pin the parts of that contract a caller
 can count: the request crosses the process boundary intact (or is
 refused), N concurrent submissions of one cold key are one ``"miss"``
-and N-1 ``"coalesced"``, a wedged child is killed with a typed error,
+and N-1 ``"coalesced"``, a wedged child is killed with a typed error, a
+schedule that does not apply fails the request without publishing,
 and no child outlives :meth:`Server.stop` or holds its parent's pipes.
 """
 
@@ -25,7 +26,14 @@ from repro.engine import CompileRequest, Engine
 from repro.pipelines import harris, harris_input_type
 from repro.rise import Identifier, array, f32
 from repro.rise.dsl import fun, lit, map_seq
-from repro.serve import BuildTimeout, Server, builds_out_of_process
+from repro.serve import (
+    BuildFailed,
+    BuildTimeout,
+    Server,
+    builds_out_of_process,
+    prebuild,
+    zoo_kernel_requests,
+)
 from repro.serve import server as server_module
 from repro.strategies import cbuf_version
 
@@ -169,6 +177,33 @@ class TestChildBuilds:
         assert _reaped(pid)
         exits = [r for r in fresh_event_log.events() if r["event"] == "serve.build.exit"]
         assert [e["attrs"]["outcome"] for e in exits] == ["timeout"]
+
+    def test_inapplicable_schedule_fails_cleanly(
+        self, tmp_path, fresh_metrics_registry, fresh_event_log
+    ):
+        store_dir = tmp_path / "store"
+        (warm_name, warm), (_, inapplicable) = zoo_kernel_requests(
+            pipelines=["sobel-magnitude"], schedules=["cbuf", "cbuf-rot"]
+        )
+        manifest = prebuild(store_dir, requests=[(warm_name, warm)])
+        engine = Engine(cache_dir=store_dir)
+        published = list(engine.cache.store.entries())
+
+        async def main():
+            async with Server(engine, workers=1) as server:
+                with pytest.raises(BuildFailed, match="no RotateValues") as failure:
+                    await server.submit(inapplicable)
+                return failure.value, await server.submit(warm), server.stats
+
+        error, served, stats = asyncio.run(main())
+        assert "ScheduleNotApplicable" in str(error)
+        assert stats.failed == 1
+        assert fresh_metrics_registry.counter("serve.failed").value == 1
+        assert list(engine.cache.store.entries()) == published
+        assert served.cache_status == "hit-disk"
+        assert served.key == manifest["kernels"][0]["key"]
+        (pid,) = _spawned_pids(fresh_event_log)
+        assert _reaped(pid)
 
 
 #: Serves one cold C-backend request from a store-backed server, then

@@ -91,6 +91,42 @@ class TestScheduleStructure:
         assert "fuseOperators" in names
         assert any("splitPipeline" in n for n in names)
 
+    def test_apply_and_apply_traced_check_what_the_schedule_requires(self):
+        """Both entry points fail alike where the named optimization does
+        not fire; the error carries the output's marker counts."""
+        import pickle
+
+        from repro.pipelines import registry
+        from repro.strategies import ScheduleNotApplicable
+
+        spec = registry.get("sobel-magnitude")
+        sched = spec.schedule("cbuf-rot", chunk=4, vec=4)
+        assert sched.requires == ("RotateValues",)
+        with pytest.raises(ScheduleNotApplicable) as traced:
+            sched.apply_traced(spec.expr())
+        with pytest.raises(ScheduleNotApplicable) as applied:
+            sched.apply(spec.expr())
+        for info in (traced, applied):
+            assert info.value.schedule == sched.name == "rise-cbuf-rrot"
+            assert info.value.missing == "RotateValues"
+            assert info.value.counts["RotateValues"] == 0
+            assert info.value.counts["CircularBuffer"] > 0
+        # crosses a process boundary intact (a build child's error)
+        back = pickle.loads(pickle.dumps(applied.value))
+        assert (back.schedule, back.missing, back.counts) == (
+            "rise-cbuf-rrot", "RotateValues", applied.value.counts
+        )
+        assert str(back) == str(applied.value)
+
+    def test_only_the_buffering_schedules_require_markers(self):
+        from repro.strategies import cbuf_par_version, cbuf_rrot_par_version
+
+        assert naive_version(SENV).requires == ()
+        assert cbuf_version(SENV).requires == ("CircularBuffer",)
+        assert cbuf_par_version(SENV).requires == ("CircularBuffer",)
+        assert cbuf_rrot_version(SENV).requires == ("RotateValues",)
+        assert cbuf_rrot_par_version(SENV).requires == ("RotateValues",)
+
 
 class TestChunkSizes:
     @pytest.mark.parametrize("chunk", [2, 4, 8])

@@ -68,6 +68,19 @@ class TestRule:
         with pytest.raises(StrategyError):
             strip_parallel(2).apply(Id("x"))
 
+    def test_par_step_fails_on_a_lowered_program_without_map_global(self):
+        """A ``-par`` schedule fails by itself where its base left no
+        chunk-level ``mapGlobal``: ``stripParallel`` is applied once, so
+        no comparison with the base schedule's output is needed."""
+        from repro.elevate.core import StrategyError
+        from repro.pipelines import registry
+
+        spec = registry.get("box-blur")
+        naive = spec.schedule("naive").apply(spec.expr())
+        assert not any(isinstance(n, MapGlobal) for n in subterms(naive))
+        with pytest.raises(StrategyError):
+            strip_parallel(2).apply(naive)
+
 
 class TestStructure:
     @pytest.mark.parametrize("name", ["cbuf+par", "cbuf+rot+par"])

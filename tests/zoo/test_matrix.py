@@ -1,10 +1,12 @@
 """The differential test matrix: (pipeline x schedule x backend).
 
-Every *applicable* (pipeline, schedule) pair from the registry is
-compiled through the engine's ``"zoo"`` builder and executed on each
-backend at the registry's smallest legal sizes; the output must match
-the registry's NumPy reference.  Harris is exercised by the strategy
-and engine suites at these exact settings, so the matrix covers the
+Every (pipeline, schedule) pair of the registry is compiled through
+the engine's ``"zoo"`` builder.  A pair of the expected applicability
+matrix is executed on each backend at the registry's smallest legal
+sizes, and its output must match the registry's NumPy reference; any
+other pair must fail with ``ScheduleNotApplicable`` naming the marker
+its schedule's output lacks.  Harris is exercised by the strategy and
+engine suites at these exact settings, so the vec-4 matrix covers the
 five non-Harris pipelines.
 
 The C-backend half is gated on ``requires_gcc`` (skipped, with a
@@ -16,47 +18,56 @@ import pytest
 
 import repro
 from repro.pipelines import registry
+from repro.strategies import ScheduleNotApplicable
+from tests.zoo import EXPECTED_APPLICABILITY, MISSING_MARKER
 
 CHUNK, VEC, STRIP = 4, 4, 2
 
 ZOO_PIPELINES = tuple(n for n in registry.names() if n != "harris")
 
 
-def _matrix(pipelines=ZOO_PIPELINES, vec=VEC, naive=True):
-    cells = []
-    for name in pipelines:
-        reports = registry.applicable_schedules(name, chunk=CHUNK, vec=vec, strip=STRIP)
-        for schedule, report in reports.items():
-            if report.applies and (naive or schedule != "naive"):
-                cells.append((name, schedule))
-    return cells
+def _product(pipelines, naive=True):
+    return [
+        (name, schedule)
+        for name in pipelines
+        for schedule in registry.SCHEDULE_NAMES
+        if naive or schedule != "naive"
+    ]
 
 
-MATRIX = _matrix()
+PRODUCT = _product(ZOO_PIPELINES)
 
 #: 8-lane vectors through every pipeline, Harris included: its rotated
 #: schedules once declared an 8-lane shared value as ``v4f``, which gcc
 #: rejects.  Naive code has no vectors, so it has no rows here.
-VEC8_MATRIX = _matrix(registry.names(), vec=8, naive=False)
+VEC8_PRODUCT = _product(registry.names(), naive=False)
+
+
+def _applicable(pairs):
+    return [(p, s) for p, s in pairs if s in EXPECTED_APPLICABILITY[p]]
+
+
+MATRIX = _applicable(PRODUCT)
+VEC8_MATRIX = _applicable(VEC8_PRODUCT)
 
 
 def _run_cell(pipeline: str, schedule: str, backend: str, vec: int = VEC):
     spec = registry.get(pipeline)
     sizes = spec.concrete_sizes(CHUNK, vec, STRIP)
+    options = {
+        "pipeline": pipeline,
+        "schedule": schedule,
+        "chunk": CHUNK,
+        "vec": vec,
+        "strip": STRIP,
+    }
+    if schedule not in EXPECTED_APPLICABILITY[pipeline]:
+        with pytest.raises(ScheduleNotApplicable, match=MISSING_MARKER[schedule]):
+            repro.compile("zoo", options=options, backend=backend, sizes=sizes)
+        return
     inputs = spec.make_inputs(sizes, seed=11)
     expected = spec.reference_output(inputs)
-    compiled = repro.compile(
-        "zoo",
-        options={
-            "pipeline": pipeline,
-            "schedule": schedule,
-            "chunk": CHUNK,
-            "vec": vec,
-            "strip": STRIP,
-        },
-        backend=backend,
-        sizes=sizes,
-    )
+    compiled = repro.compile("zoo", options=options, backend=backend, sizes=sizes)
     out = compiled.run(**inputs).reshape(expected.shape)
     np.testing.assert_allclose(out, expected, rtol=1e-3, atol=1e-4)
 
@@ -64,23 +75,24 @@ def _run_cell(pipeline: str, schedule: str, backend: str, vec: int = VEC):
 class TestDifferentialMatrix:
     def test_matrix_covers_every_pipeline(self):
         assert {p for p, _ in MATRIX} == set(ZOO_PIPELINES)
-        # The matrix is applicability-driven: pyramid contributes only
-        # its naive cell, fully-covered pipelines all five.
+        # pyramid applies only naive, fully-covered pipelines all five;
+        # the other pairs are still run, to assert their typed failure.
         assert ("pyramid", "naive") in MATRIX
         assert ("gaussian-blur", "cbuf-rot-par") in MATRIX
         assert ("sobel-magnitude", "cbuf-rot") not in MATRIX
+        assert len(PRODUCT) == len(ZOO_PIPELINES) * len(registry.SCHEDULE_NAMES)
 
-    @pytest.mark.parametrize("pipeline,schedule", MATRIX)
+    @pytest.mark.parametrize("pipeline,schedule", PRODUCT)
     def test_python_backend_matches_reference(self, pipeline, schedule):
         _run_cell(pipeline, schedule, "python")
 
     @pytest.mark.requires_gcc
-    @pytest.mark.parametrize("pipeline,schedule", MATRIX)
+    @pytest.mark.parametrize("pipeline,schedule", PRODUCT)
     def test_c_backend_matches_reference(self, pipeline, schedule):
         _run_cell(pipeline, schedule, "c")
 
     @pytest.mark.requires_gcc
-    @pytest.mark.parametrize("pipeline,schedule", VEC8_MATRIX)
+    @pytest.mark.parametrize("pipeline,schedule", VEC8_PRODUCT)
     def test_c_backend_at_vec8_matches_reference(self, pipeline, schedule):
         _run_cell(pipeline, schedule, "c", vec=8)
 

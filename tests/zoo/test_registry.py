@@ -3,16 +3,23 @@
 The registry is the contract every generic consumer (bench, AOT, tuner,
 fuzzer) builds on, so these tests pin its observable behavior: the
 catalog contents, the divisibility rules of ``concrete_sizes``, and the
-*detected* schedule-applicability matrix — which must match the
-structural reality of each pipeline, not an optimistic assertion.
+schedule-applicability matrix — which must match the structural reality
+of each pipeline: a schedule whose optimization does not fire raises
+``ScheduleNotApplicable`` rather than lowering to a no-op.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+import repro
+from repro.bench.zoo import zoo_request
 from repro.pipelines import registry
 from repro.pipelines.registry import PipelineSpec
 from repro.rise.typecheck import infer_types
+from repro.strategies import ScheduleNotApplicable, markers
+from tests.zoo import EXPECTED_APPLICABILITY, MISSING_MARKER
 
 EXPECTED_PIPELINES = (
     "harris",
@@ -23,25 +30,26 @@ EXPECTED_PIPELINES = (
     "pyramid",
 )
 
-#: The empirically verified applicability matrix at chunk=4, vec=4,
-#: strip=2.  sobel-magnitude has no separable post-sharing stencil pair
-#: (rotation never fires); pyramid's stride-2 slides violate the
-#: unit-step requirement of buffering and rotation.
-EXPECTED_APPLICABILITY = {
-    "harris": {"naive", "cbuf", "cbuf-rot", "cbuf-par", "cbuf-rot-par"},
-    "gaussian-blur": {"naive", "cbuf", "cbuf-rot", "cbuf-par", "cbuf-rot-par"},
-    "sobel-magnitude": {"naive", "cbuf", "cbuf-par"},
-    "unsharp-mask": {"naive", "cbuf", "cbuf-rot", "cbuf-par", "cbuf-rot-par"},
-    "box-blur": {"naive", "cbuf", "cbuf-rot", "cbuf-par", "cbuf-rot-par"},
-    "pyramid": {"naive"},
-}
-
 #: Where convolution separation fires.  The matrix alone does not pin
 #: it: where it never fires (and so rotation has no separated line to
 #: rotate), the cbuf-rot lowering carries exactly cbuf's markers.
 #: sobel-magnitude's post-sharing stencils are not separable; pyramid's
 #: stride-2 slides are not line stencils at all.
 SEPARATED = {"harris", "gaussian-blur", "unsharp-mask", "box-blur"}
+
+
+@lru_cache(maxsize=None)
+def _outcome(name: str, schedule: str) -> tuple[bool, dict]:
+    """``(applies, markers)`` of one schedule at chunk 4, vec 4, strip 2:
+    the markers of its output, or those its typed failure carries."""
+    spec = registry.get(name)
+    sched = spec.schedule(schedule, chunk=4, vec=4, strip=2)
+    try:
+        return True, markers(sched.apply(spec.expr()))
+    except ScheduleNotApplicable as exc:
+        assert exc.missing == MISSING_MARKER[schedule]
+        assert exc.counts[exc.missing] == 0
+        return False, exc.counts
 
 
 class TestCatalog:
@@ -127,17 +135,24 @@ class TestApplicability:
             registry.make_schedule("no-such-schedule", {})
 
     @pytest.mark.parametrize("name", EXPECTED_PIPELINES)
-    def test_applicability_matrix(self, name):
-        reports = registry.applicable_schedules(name, chunk=4, vec=4, strip=2)
-        applying = {s for s, r in reports.items() if r.applies}
+    def test_applicability_matrix(self, name, fresh_zoo_grid):
+        """A pair applies when its compile succeeds (on the engine that
+        compiled the zoo grid at these chunk/vec/strip defaults)."""
+        engine = fresh_zoo_grid[0]
+        applying = set()
+        for schedule in registry.SCHEDULE_NAMES:
+            try:
+                engine.compile_request(zoo_request(name, schedule))
+            except ScheduleNotApplicable as exc:
+                assert exc.missing == MISSING_MARKER[schedule]
+            else:
+                applying.add(schedule)
         assert applying == EXPECTED_APPLICABILITY[name]
-        # Everything lowers, even schedules whose optimization no-ops.
-        assert all(r.lowers for r in reports.values())
-        separated = reports["cbuf-rot"].markers != reports["cbuf"].markers
+        separated = _outcome(name, "cbuf-rot")[1] != _outcome(name, "cbuf")[1]
         assert separated == (name in SEPARATED)
         # Every pipeline vectorizes, pyramid too although nothing of it
         # is buffered.
-        assert reports["cbuf"].markers["MapSeqVec"] > 0
+        assert _outcome(name, "cbuf")[1]["MapSeqVec"] > 0
 
     def test_three_pipelines_take_every_component(self):
         """Separation, circular buffering and strip parallelization each
@@ -150,37 +165,48 @@ class TestApplicability:
         ]
         assert len(fully) >= 3
 
-    def test_applicability_is_cached(self):
-        a = registry.applicable_schedules("box-blur", chunk=4, vec=4, strip=2)
-        b = registry.applicable_schedules("box-blur", chunk=4, vec=4, strip=2)
-        assert a is b
-
     def test_markers_counted_not_asserted(self):
-        reports = registry.applicable_schedules("gaussian-blur", chunk=4, vec=4)
-        assert reports["cbuf"].markers["CircularBuffer"] == 2
-        assert reports["cbuf-rot"].markers["RotateValues"] == 2
-        assert reports["naive"].markers["CircularBuffer"] == 0
+        assert _outcome("gaussian-blur", "cbuf")[1]["CircularBuffer"] == 2
+        assert _outcome("gaussian-blur", "cbuf-rot")[1]["RotateValues"] == 2
+        assert _outcome("gaussian-blur", "naive")[1]["CircularBuffer"] == 0
 
     def test_strip_parallel_adds_a_split(self):
-        reports = registry.applicable_schedules("unsharp-mask", chunk=4, vec=4)
         assert (
-            reports["cbuf-par"].markers["Split"] > reports["cbuf"].markers["Split"]
+            _outcome("unsharp-mask", "cbuf-par")[1]["Split"]
+            > _outcome("unsharp-mask", "cbuf")[1]["Split"]
         )
 
 
 class TestStrategyCoverage:
     def test_pyramid_gets_vectorize_but_not_buffering(self):
-        reports = registry.applicable_schedules("pyramid", chunk=4, vec=4, strip=2)
-        assert reports["cbuf"].markers["MapSeqVec"] > 0
-        assert reports["cbuf"].markers["CircularBuffer"] == 0
-        assert reports["cbuf-rot"].markers["RotateValues"] == 0
+        applies, cbuf = _outcome("pyramid", "cbuf")
+        assert not applies
+        assert cbuf["MapSeqVec"] > 0
+        assert cbuf["CircularBuffer"] == 0
+        assert _outcome("pyramid", "cbuf-rot") == (False, cbuf)
 
     def test_sobel_magnitude_has_no_separation(self):
-        reports = registry.applicable_schedules(
-            "sobel-magnitude", chunk=4, vec=4, strip=2
+        assert _outcome("sobel-magnitude", "cbuf-rot") == (
+            False,
+            _outcome("sobel-magnitude", "cbuf")[1],
         )
-        assert reports["cbuf-rot"].markers == reports["cbuf"].markers
-        assert reports["cbuf"].markers["CircularBuffer"] > 0
+        assert _outcome("sobel-magnitude", "cbuf")[1]["CircularBuffer"] > 0
+
+
+class TestFrontDoor:
+    """``repro.compile("zoo", ...)`` of a pair outside the matrix fails,
+    naming the marker its schedule's output lacks."""
+
+    @pytest.mark.parametrize(
+        "pipeline,schedule,missing",
+        [("sobel-magnitude", "cbuf-rot", "RotateValues"), ("pyramid", "cbuf", "CircularBuffer")],
+    )
+    def test_inapplicable_pair_raises(self, pipeline, schedule, missing):
+        options = {"pipeline": pipeline, "schedule": schedule}
+        with pytest.raises(ScheduleNotApplicable, match=f"no {missing}") as info:
+            repro.compile("zoo", options=options)
+        assert info.value.missing == missing
+        assert info.value.counts[missing] == 0
 
 
 class TestZooBuilder:

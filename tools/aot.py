@@ -5,8 +5,9 @@ Compiles the named Harris schedule ladder (naive, cbuf, cbuf+rot and the
 strip-parallel forms — the paper's evaluation grid) for each requested
 backend into a shared artifact store, then writes ``aot_manifest.json``
 at the store root.  ``--zoo`` prebuilds every pipeline in the registry
-instead, Harris included, under every schedule that structurally
-applies to it.  Kernels are named ``zoo-<pipeline>-<schedule>@<backend>``.
+instead, Harris included, under every schedule of the family; a pair
+whose schedule does not apply is published under no name and listed as
+skipped.  Kernels are named ``zoo-<pipeline>-<schedule>@<backend>``.
 Any serving process pointing at the same store
 (``repro.serve.Server`` workers, ``$REPRO_CACHE_DIR`` users) warm-starts
 those kernels from disk without running a single compiler phase.
@@ -67,8 +68,9 @@ def main() -> int:
     parser.add_argument(
         "--zoo",
         action="store_true",
-        help="prebuild every registered pipeline under its applicable "
-        "schedules, not only Harris",
+        help="prebuild every registered pipeline under every schedule of "
+        "the family, not only Harris (a schedule that does not apply is "
+        "skipped and listed with its reason)",
     )
     parser.add_argument(
         "--verify-warm",
@@ -111,8 +113,11 @@ def main() -> int:
                 f"  {kernel['kernel']:<28} {kernel['cache']:<10} "
                 f"{kernel['compile_ms']:9.1f} ms  {kernel['key'][:12]}"
             )
+        for skip in manifest["skipped"]:
+            print(f"  {skip['kernel']:<28} skipped: {skip['reason']}")
         print(
-            f"aot: {len(built)} built, {warm} already warm -> "
+            f"aot: {len(built)} built, {warm} already warm, "
+            f"{len(manifest['skipped'])} skipped -> "
             f"{Path(args.cache_dir) / 'aot_manifest.json'}"
         )
     if args.verify_warm and built:

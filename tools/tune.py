@@ -6,7 +6,9 @@ optimization vocabulary on one pipeline from the registry
 (``--pipeline``, default the Harris case study), verifies the cheapest survivors against the
 differential oracle (naive schedule as reference), and compares the
 winner with the hand-written listing 5/9 schedules under the same
-objective.  The winner's modeled cost is printed (and, in the
+objective: the bar is ``cbuf+rot`` where it applies to the pipeline,
+else ``cbuf``, else ``naive``, and the output names the one it used.
+The winner's modeled cost is printed (and, in the
 ``tune-search`` benchmark workload, reported as the per-layer metric
 ``tune.best_cost_ms.<pipeline>``); it adds no cell to the pinned
 modeled-cell table ``tests/bench/modeled_cells.json``.
@@ -28,6 +30,7 @@ Usage:  python tools/tune.py --seed 0 --beam 4 --steps 6
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -73,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--wall-rank",
         action="store_true",
-        help="also wall-clock-rank the verified winner against cbuf+rot "
-        "through the batch runner (measured, machine-dependent)",
+        help="also wall-clock-rank the verified winner against the "
+        "reference bar (the strongest hand schedule that applies) through "
+        "the batch runner (measured, machine-dependent)",
     )
     return parser
 
@@ -158,8 +162,11 @@ def main() -> int:
         return 1
 
     hand = handwritten_costs(seed_expr, type_env, objective=objective)
-    bar = hand["rise-cbuf-rrot"]
-    verdict_word = "<= hand cbuf+rot" if winner.cost_ms <= bar else "above hand cbuf+rot"
+    # the bar is the strongest hand schedule that applies to this
+    # pipeline: cbuf+rot (listing 9), else cbuf (listing 5), else naive
+    bar_name, bar = list(hand.items())[-1]
+    print(f"reference bar: {bar_name}, the strongest hand schedule that applies")
+    verdict_word = f"<= {bar_name}" if winner.cost_ms <= bar else f"above {bar_name}"
     print("objective scores (modeled ms):")
     for name, ms in sorted(hand.items(), key=lambda kv: kv[1]):
         print(f"  {name:<24} {ms:10.6f}")
@@ -174,12 +181,26 @@ def main() -> int:
     )
 
     if args.wall_rank:
-        sizes = verification_sizes(winner.n_multiple, winner.m_multiple)
-        inputs = make_inputs(type_env, sizes, seed=args.seed)
-        from repro.strategies.schedules import cbuf_rrot_version
+        from repro.strategies.schedules import (
+            DEFAULT_CHUNK,
+            DEFAULT_VEC,
+            cbuf_rrot_version,
+            cbuf_version,
+            naive_version,
+        )
 
+        # sizes legal for the winner and for the bar's default chunk/vec
+        sizes = verification_sizes(
+            math.lcm(winner.n_multiple, DEFAULT_CHUNK), math.lcm(winner.m_multiple, DEFAULT_VEC)
+        )
+        inputs = make_inputs(type_env, sizes, seed=args.seed)
+
+        hand_schedules = [
+            make(dict(type_env)) for make in (naive_version, cbuf_version, cbuf_rrot_version)
+        ]
+        bar_schedule = next(s for s in hand_schedules if s.name == bar_name)
         ranked = wall_rank(
-            {sched.name: sched, "rise-cbuf-rrot": cbuf_rrot_version(dict(type_env))},
+            {sched.name: sched, bar_name: bar_schedule},
             seed_expr,
             type_env,
             sizes,
