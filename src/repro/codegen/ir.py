@@ -319,13 +319,16 @@ class ImpProgram:
     The multi-kernel form models library baselines (OpenCV) and the LIFT
     per-operator compilation; the optimizing compilers produce a single
     kernel.  ``intermediates`` are the buffers written by one kernel and
-    read by a later one.
+    read by a later one.  ``size_constraints`` are the size equations
+    type inference left undecided (``32 * k == n``), solved once sizes
+    are concrete (:func:`~repro.codegen.sizes.resolve_sizes`).
     """
 
     name: str
     functions: list[ImpFunction]
     size_vars: list[str]
     launch_overheads: int = 1  # number of kernel launches charged
+    size_constraints: list[tuple[Nat, Nat]] = field(default_factory=list)
 
     def single(self) -> ImpFunction:
         if len(self.functions) != 1:

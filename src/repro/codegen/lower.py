@@ -36,7 +36,7 @@ from repro.rise.types import (
     Type,
     VectorType,
 )
-from repro.rise.traverse import app_spine
+from repro.rise.traverse import app_spine, count_nodes as count_rise_nodes
 from repro.codegen.ir import (
     AllocStmt,
     Assign,
@@ -64,6 +64,7 @@ from repro.codegen.ir import (
     VShuffle,
     VStore,
     Var,
+    count_ir_nodes,
 )
 from repro.codegen.views import (
     ArrV,
@@ -78,8 +79,10 @@ from repro.codegen.views import (
     idx_mul,
     nat_expr,
 )
-from repro.codegen.opt import _is_vector_expr, _vector_width
-from repro.codegen.vectorize import VectorizeError, vectorize_stmts
+from repro.codegen.opt import _is_vector_expr, _vector_width, cse_program, fold_program
+from repro.codegen.vectorize import VectorizeError, affine_coefficient, vectorize_stmts
+from repro.observe.core import active, span
+from repro.observe.metrics import inc
 
 __all__ = ["compile_program", "CodegenError"]
 
@@ -229,7 +232,6 @@ class Ctx:
         self._blocks: list[list] = [[]]
         self._counter = itertools.count()
         self.all_buffers: list[Buffer] = []
-        self.vector_fallbacks: list[str] = []
         self.vector_vars: dict[str, int] = {}
 
     # -- emission --------------------------------------------------------
@@ -316,9 +318,7 @@ def ev(node: E.Expr, env: Mapping[str, View], ctx: Ctx) -> View:
     if isinstance(node, E.App):
         head, args = app_spine(node)
         if isinstance(head, E.Primitive):
-            from repro.rise.expr import primitive_arity
-
-            arity = primitive_arity(head)
+            arity = E.primitive_arity(head)
             if len(args) == arity:
                 return _apply_prim(head, args, node, env, ctx)
             if len(args) < arity:
@@ -361,9 +361,7 @@ def _bind_let(name: str, value_node: E.Expr, env: Mapping[str, View], ctx: Ctx) 
 
 
 def _partial_prim(head: E.Primitive, args: list[E.Expr], node: E.Expr, env, ctx) -> View:
-    from repro.rise.expr import primitive_arity
-
-    arity = primitive_arity(head)
+    arity = E.primitive_arity(head)
     collected = [ev(a, env, ctx) for a in args]
 
     def make(views: tuple) -> FunV:
@@ -399,7 +397,10 @@ def _apply_prim_views(
         return ArrV(xs.size, lambda i: f(xs.at(i)))
     if isinstance(head, E.MapVec):
         f, v = views
-        return f(v)
+        out, vv = f(v), ctx.vector_vars
+        if isinstance(out, ScalarV) and _is_vector_expr(v.expr, vv) and not _is_vector_expr(out.expr, vv):
+            return ScalarV(Broadcast(out.expr, _vector_width(v.expr, vv)))  # a lane-constant body
+        return out
     # --- reductions ----------------------------------------------------
     if isinstance(head, (E.ReduceSeqUnroll,)) or (
         type(head) in (E.Reduce, E.ReduceSeq) and _const_size(views[2])
@@ -747,7 +748,7 @@ def _gen_map(head: E.Map, fn_node: E.Expr, src_node: E.Expr, dest: Dest, env, ct
         _gen_stream_consumer(head, fn_node, src_node, dest, env, ctx, vec_width=None)
         return
     if isinstance(src_head, E.RotateValues) and len(src_args) == 1:
-        _gen_rotate_consumer(head, fn_node, src_args[0], src_head, dest, env, ctx, vec_width=None)
+        _gen_rotate_consumer(fn_node, src_args[0], src_head, dest, env, ctx, vec_width=None)
         return
     src_view = _arr(ev(src_node, env, ctx))
     _gen_map_view(head, fn_node, src_view, dest, env, ctx)
@@ -760,6 +761,11 @@ def _gen_map_view(head: E.Map, fn_node: E.Expr, src_view: ArrV, dest: Dest, env,
         for k in range(src_view.size.constant_value()):
             gen_apply_into(fn_node, src_view.at_const(k), dest.at(IConst(k)), env, ctx)
         return
+    _map_loop(fn_node, src_view, dest, env, ctx, kind)
+
+
+def _map_loop(fn_node: E.Expr, src_view: ArrV, dest: DArr, env, ctx: Ctx, kind=LoopKind.SEQ) -> None:
+    """One loop applying ``fn_node`` to every element of ``src_view``."""
     loop_var = ctx.fresh("i")
     ctx.push()
     gen_apply_into(fn_node, src_view.at(Var(loop_var)), dest.at(Var(loop_var)), env, ctx)
@@ -768,6 +774,27 @@ def _gen_map_view(head: E.Map, fn_node: E.Expr, src_view: ArrV, dest: Dest, env,
 
 
 # -- vector strip loops ---------------------------------------------------
+
+
+def _in_registers(dtype: Type) -> bool:
+    """A scalar or vector leaf, or a pair of such: a value held in
+    registers, one per leaf.  Arrays are read through views instead."""
+    if isinstance(dtype, PairType):
+        return _in_registers(dtype.fst) and _in_registers(dtype.snd)
+    return isinstance(dtype, (ScalarType, VectorType))
+
+
+def _shape_of_type(dtype: DataType, leaves: list[IExpr]) -> View:
+    """A view of the register tree ``dtype`` over the given leaf
+    expressions (in :func:`_leaf_exprs` order)."""
+    it = iter(leaves)
+
+    def go(t: DataType) -> View:
+        if isinstance(t, PairType):
+            return PairV(go(t.fst), go(t.snd))
+        return ScalarV(next(it))
+
+    return go(dtype)
 
 
 def _leaf_cells(dest: Dest) -> list[DCell]:
@@ -792,7 +819,7 @@ def _gen_map_vec(
     src_head, src_args = app_spine(src_node)
     width = head.width.constant_value()
     if isinstance(src_head, E.RotateValues) and len(src_args) == 1:
-        _gen_rotate_consumer(head, fn_node, src_args[0], src_head, dest, env, ctx, vec_width=width)
+        _gen_rotate_consumer(fn_node, src_args[0], src_head, dest, env, ctx, vec_width=width)
         return
     if isinstance(src_head, E.CircularBuffer) and len(src_args) == 2:
         _gen_stream_consumer(head, fn_node, src_node, dest, env, ctx, vec_width=width)
@@ -803,79 +830,78 @@ def _gen_map_vec(
 
 
 def _gen_map_vec_view(head: "E.MapSeqVec", fn_node: E.Expr, src_view: ArrV, dest: Dest, env, ctx: Ctx) -> None:
-    width = head.width.constant_value()
+    """Vector strips plus a scalar tail.  A scalar loop instead when the
+    element is not a register tree, or when the vectorizer refuses the
+    element's code."""
     assert isinstance(dest, DArr)
-    n = src_view.size
-    try:
-        _emit_vector_strips(
-            fn_node, src_view, dest, n, width, env, ctx
-        )
-    except (VectorizeError, CodegenError) as err:
-        ctx.vector_fallbacks.append(str(err))
-        loop_var = ctx.fresh("i")
-        ctx.push()
-        gen_apply_into(fn_node, src_view.at(Var(loop_var)), dest.at(Var(loop_var)), env, ctx)
-        body = ctx.pop()
-        ctx.emit(For(loop_var, nat_expr(n), body, LoopKind.SEQ))
+    width = head.width.constant_value()
+    strips = _vector_strips(fn_node, src_view, dest, width, env, ctx)
+    if strips is None:
+        inc("codegen.fallback.scalar_loop")
+        _map_loop(fn_node, src_view, dest, env, ctx)
+        return
+    ctx.emit(strips)
+    _scalar_tail(fn_node, src_view, dest, width, env, ctx)
 
 
-def _emit_vector_strips(fn_node, src_view: ArrV, dest: DArr, n: Nat, width: int, env, ctx: Ctx) -> None:
+def _vector_strips(fn_node, src_view: ArrV, dest: DArr, width: int, env, ctx: Ctx) -> Optional[For]:
+    """The loop over the ``n // width`` full strips, or None when the
+    element is not a register tree or the vectorizer refuses its code.
+    Nothing is emitted before that verdict."""
+    if not _in_registers(ctx.type_of(fn_node).ret):
+        return None
     xi = ctx.fresh("xi")
     # Evaluate the element computation symbolically at index xi, capturing
     # any statements (shared lets, unrolled reductions are pure).
     ctx.push()
-    elem_view = src_view.at(Var(xi))
-    fn_view = ev(fn_node, env, ctx) if not isinstance(fn_node, E.Lambda) else None
-    if isinstance(fn_node, E.Lambda):
-        inner = dict(env)
-        inner[fn_node.param.name] = elem_view
-        result = ev(fn_node.body, inner, ctx)
-    else:
-        result = fn_view(elem_view)
+    result = _apply_fn_view(fn_node, src_view.at(Var(xi)), env, ctx)
     scalar_block = ctx.pop()
-    result_exprs = _leaf_exprs(result)
-    cells = _leaf_cells(dest.at(Var(xi)))
 
     strip_var = ctx.fresh("vs")
     base = idx_mul(Var(strip_var), IConst(width))
-    vec_stmts, vec_exprs = vectorize_stmts(
-        scalar_block.stmts,
-        result_exprs,
-        xi,
-        base,
-        width,
-        lambda rest: _nat_is_multiple(rest, width),
-    )
-    # vector stores: destination indices must be affine in xi with coeff 1
-    from repro.codegen.vectorize import affine_coefficient
+    try:
+        vec_stmts, vec_exprs = vectorize_stmts(
+            scalar_block.stmts,
+            _leaf_exprs(result),
+            xi,
+            base,
+            width,
+            lambda rest: _nat_is_multiple(rest, width),
+        )
+        stores = _vector_stores(dest.at(Var(xi)), vec_exprs, xi, base, width)
+    except VectorizeError:
+        return None
+    return For(strip_var, nat_expr(src_view.size // nat(width)), Block(vec_stmts + stores), LoopKind.VEC)
 
+
+def _vector_stores(dest: Dest, values: list[IExpr], xi: str, base: IExpr, width: int) -> list[VStore]:
+    """One ``VStore`` per leaf of ``dest`` (an element at index ``xi``)
+    for the strip starting at ``base``; the leaf's index must be affine
+    in ``xi`` with coefficient 1."""
     stores = []
-    for cell, value in zip(cells, vec_exprs):
+    for cell, value in zip(_leaf_cells(dest), values):
         decomposed = affine_coefficient(cell.index, xi)
         if decomposed is None or decomposed[0] != 1:
             raise VectorizeError("non-unit-stride vector store")
         rest = decomposed[1]
-        index = idx_add(base, rest)
         stores.append(
-            VStore(cell.buffer, index, value, width, aligned=_nat_is_multiple(rest, width))
+            VStore(cell.buffer, idx_add(base, rest), value, width, aligned=_nat_is_multiple(rest, width))
         )
-    strips = n // nat(width)
-    ctx.push()
-    for s in vec_stmts:
-        ctx.emit(s)
-    for s in stores:
-        ctx.emit(s)
-    body = ctx.pop()
-    ctx.emit(For(strip_var, nat_expr(strips), body, LoopKind.VEC))
-    # scalar tail for n % width leftover elements
+    return stores
+
+
+def _scalar_tail(fn_node: E.Expr, src_view: ArrV, dest: DArr, width: int, env, ctx: Ctx) -> None:
+    """A scalar loop over the ``n % width`` elements after the last strip."""
+    n = src_view.size
     tail = n % nat(width)
-    if not (tail.is_constant() and tail.constant_value() == 0):
-        tail_var = ctx.fresh("t")
-        ctx.push()
-        index = idx_add(idx_mul(nat_expr(strips), IConst(width)), Var(tail_var))
-        gen_apply_into(fn_node, src_view.at(index), dest.at(index), env, ctx)
-        tail_body = ctx.pop()
-        ctx.emit(For(tail_var, nat_expr(tail), tail_body, LoopKind.SEQ))
+    if tail.is_constant() and tail.constant_value() == 0:
+        return
+    tail_var = ctx.fresh("t")
+    ctx.push()
+    index = idx_add(idx_mul(nat_expr(n // nat(width)), IConst(width)), Var(tail_var))
+    gen_apply_into(fn_node, src_view.at(index), dest.at(index), env, ctx)
+    tail_body = ctx.pop()
+    ctx.emit(For(tail_var, nat_expr(tail), tail_body, LoopKind.SEQ))
 
 
 # -- streaming: circular buffers -----------------------------------------
@@ -1122,7 +1148,6 @@ def _gen_stream_consumer(
 
 
 def _gen_rotate_consumer(
-    head: E.Map,
     fn_node: E.Expr,
     values_node: E.Expr,
     rotate: E.RotateValues,
@@ -1131,56 +1156,31 @@ def _gen_rotate_consumer(
     ctx: Ctx,
     vec_width,
 ) -> None:
+    """``map(f)(rotateValues(m)(values))``, chosen by the values' element
+    type: a register tree rotates through registers (vector registers
+    under ``mapSeqVec``); any other element is read through a sliding
+    window of views."""
     m = rotate.size.constant_value()
     assert isinstance(dest, DArr)
-    n = dest.size
-
-    # Fallback path: treat rotateValues as a plain sliding-window view.
-    def fallback(reason: str) -> None:
-        ctx.vector_fallbacks.append(f"rotate fallback: {reason}")
-        values_view = _arr(ev(values_node, env, ctx))
-        window_view = ArrV(
-            n, lambda i: ArrV(nat(m), lambda j: values_view.at(idx_add(i, j)))
-        )
-        loop_var = ctx.fresh("i")
-        ctx.push()
-        gen_apply_into(fn_node, window_view.at(Var(loop_var)), dest.at(Var(loop_var)), env, ctx)
-        body = ctx.pop()
-        ctx.emit(For(loop_var, nat_expr(n), body, LoopKind.SEQ))
-
+    values_type = ctx.data_type_of(values_node)
+    assert isinstance(values_type, ArrayType)
     values_view = _arr(ev(values_node, env, ctx))
-    elem_type_leaves = None
-    try:
-        probe = values_view.at_const(0)
-        leaf_count = len(_leaf_exprs(probe))
-    except CodegenError as err:
-        fallback(str(err))
-        return
-
-    if vec_width is None:
-        _rotate_scalar(fn_node, values_view, m, leaf_count, dest, n, env, ctx, fallback)
+    windows = ArrV(
+        dest.size, lambda i: ArrV(nat(m), lambda j: values_view.at(idx_add(i, j)))
+    )
+    if not _in_registers(values_type.elem):
+        inc("codegen.fallback.rotate_window")
+        _map_loop(fn_node, windows, dest, env, ctx)
+    elif vec_width is None:
+        _rotate_scalar(fn_node, values_view, values_type.elem, m, dest, env, ctx)
     else:
-        _rotate_vector(
-            fn_node, values_view, m, leaf_count, dest, n, vec_width, env, ctx, fallback
-        )
+        _rotate_vector(fn_node, values_view, values_type.elem, m, dest, windows, vec_width, env, ctx)
 
 
-def _shape_of_leaves(view: View, exprs: list[IExpr]) -> View:
-    """Rebuild a view with the same pair shape but given leaf expressions."""
-    it = iter(exprs)
-
-    def go(v: View) -> View:
-        if isinstance(v, ScalarV):
-            return ScalarV(next(it))
-        if isinstance(v, PairV):
-            return PairV(go(v.fst), go(v.snd))
-        raise CodegenError("unexpected shape")
-
-    return go(view)
-
-
-def _rotate_scalar(fn_node, values_view: ArrV, m, leaf_count, dest, n, env, ctx, fallback) -> None:
-    regs = [[ctx.fresh(f"rot{r}_") for _ in range(leaf_count)] for r in range(m)]
+def _rotate_scalar(
+    fn_node, values_view: ArrV, elem_type: DataType, m: int, dest: DArr, env, ctx: Ctx
+) -> None:
+    regs = [[ctx.fresh(f"rot{r}_") for _ in scalar_leaf_paths(elem_type)] for r in range(m)]
     for r in range(m):
         for name in regs[r]:
             ctx.emit(DeclScalar(name, FConst(0.0)))
@@ -1194,38 +1194,44 @@ def _rotate_scalar(fn_node, values_view: ArrV, m, leaf_count, dest, n, env, ctx,
     newest = _leaf_exprs(values_view.at(idx_add(Var(loop_var), IConst(m - 1))))
     for name, value in zip(regs[m - 1], newest):
         ctx.emit(Assign(name, value))
-    shape_probe = values_view.at_const(0)
     window = ArrV(
-        nat(m),
-        lambda r: _reg_window(shape_probe, regs, r),
+        nat(m), lambda r: _shape_of_type(elem_type, [Var(name) for name in regs[_window_offset(r)]])
     )
     gen_apply_into(fn_node, window, dest.at(Var(loop_var)), env, ctx)
     for r in range(m - 1):
         for dst, src in zip(regs[r], regs[r + 1]):
             ctx.emit(Assign(dst, Var(src)))
     body = ctx.pop()
-    ctx.emit(For(loop_var, nat_expr(n), body, LoopKind.SEQ))
+    ctx.emit(For(loop_var, nat_expr(dest.size), body, LoopKind.SEQ))
 
 
-def _reg_window(shape_probe: View, regs, r: IExpr | int) -> View:
-    if isinstance(r, IConst):
-        r = r.value
-    if not isinstance(r, int):
+def _window_offset(r: IExpr) -> int:
+    """A rotation window is indexed by constants only: its elements are
+    distinct registers, not memory."""
+    if not isinstance(r, IConst):
         raise CodegenError("rotating registers accessed at non-constant index")
-    return _shape_of_leaves(shape_probe, [Var(name) for name in regs[r]])
+    return r.value
 
 
 def _rotate_vector(
-    fn_node, values_view: ArrV, m, leaf_count, dest, n, width, env, ctx, fallback
+    fn_node,
+    values_view: ArrV,
+    elem_type: DataType,
+    m: int,
+    dest: DArr,
+    windows: ArrV,
+    width: int,
+    env,
+    ctx: Ctx,
 ) -> None:
     """Vectorized register rotation: aligned chunks A/B per leaf, window
     elements as shuffles of (A, B) — fig. 6 'cbuf+rot' and fig. 7."""
     xi = ctx.fresh("xi")
 
-    def chunk_exprs(base: IExpr, c: Ctx) -> list[IExpr]:
-        c.push()
+    def chunk_exprs(base: IExpr) -> list[IExpr]:
+        ctx.push()
         leaves = _leaf_exprs(values_view.at(Var(xi)))
-        scalar_block = c.pop()
+        scalar_block = ctx.pop()
         vec_stmts, vec_exprs = vectorize_stmts(
             scalar_block.stmts,
             leaves,
@@ -1235,78 +1241,36 @@ def _rotate_vector(
             lambda rest: _nat_is_multiple(rest, width),
         )
         for s in vec_stmts:
-            c.emit(s)
+            ctx.emit(s)
         return vec_exprs
 
-    try:
-        reg_a = [ctx.fresh("rotA_") for _ in range(leaf_count)]
-        reg_b = [ctx.fresh("rotB_") for _ in range(leaf_count)]
-        for name in reg_a + reg_b:
-            ctx.emit(DeclVec(name, width, Broadcast(FConst(0.0), width)))
-        init = chunk_exprs(IConst(0), ctx)
-        for name, value in zip(reg_a, init):
-            ctx.emit(Assign(name, value))
+    reg_a = [ctx.fresh("rotA_") for _ in scalar_leaf_paths(elem_type)]
+    reg_b = [ctx.fresh("rotB_") for _ in reg_a]
+    for name in reg_a + reg_b:
+        ctx.emit(DeclVec(name, width, Broadcast(FConst(0.0), width)))
+    for name, value in zip(reg_a, chunk_exprs(IConst(0))):
+        ctx.emit(Assign(name, value))
 
-        strips = n // nat(width)
-        strip_var = ctx.fresh("vs")
-        ctx.push()
-        base_next = idx_mul(idx_add(Var(strip_var), IConst(1)), IConst(width))
-        nxt = chunk_exprs(base_next, ctx)
-        for name, value in zip(reg_b, nxt):
-            ctx.emit(Assign(name, value))
-
-        shape_probe = values_view.at_const(0)
-
-        def window_at(r) -> View:
-            if isinstance(r, IConst):
-                r = r.value
-            if not isinstance(r, int):
-                raise CodegenError("vector rotation window needs constant offsets")
-            leaves = [
-                VShuffle(Var(a), Var(b), r, width)
-                for a, b in zip(reg_a, reg_b)
-            ]
-            return _shape_of_leaves(shape_probe, leaves)
-
-        window = ArrV(nat(m), window_at)
-        result = _apply_fn_view(fn_node, window, env, ctx)
-        cells = _leaf_cells(dest.at(Var(xi)))
-        from repro.codegen.vectorize import affine_coefficient
-
-        base = idx_mul(Var(strip_var), IConst(width))
-        for cell, value in zip(cells, _leaf_exprs(result)):
-            decomposed = affine_coefficient(cell.index, xi)
-            if decomposed is None or decomposed[0] != 1:
-                raise VectorizeError("non-unit-stride store in rotation")
-            rest = decomposed[1]
-            ctx.emit(
-                VStore(
-                    cell.buffer,
-                    idx_add(base, rest),
-                    value,
-                    width,
-                    aligned=_nat_is_multiple(rest, width),
-                )
-            )
-        for a, b in zip(reg_a, reg_b):
-            ctx.emit(Assign(a, Var(b)))
-        body = ctx.pop()
-        ctx.emit(For(strip_var, nat_expr(strips), body, LoopKind.VEC))
-
-        # scalar tail
-        tail = n % nat(width)
-        if not (tail.is_constant() and tail.constant_value() == 0):
-            tail_var = ctx.fresh("t")
-            ctx.push()
-            index = idx_add(idx_mul(nat_expr(strips), IConst(width)), Var(tail_var))
-            window_view = ArrV(
-                nat(m), lambda j: values_view.at(idx_add(index, j))
-            )
-            gen_apply_into(fn_node, window_view, dest.at(index), env, ctx)
-            tail_body = ctx.pop()
-            ctx.emit(For(tail_var, nat_expr(tail), tail_body, LoopKind.SEQ))
-    except (VectorizeError, CodegenError) as err:
-        fallback(str(err))
+    strip_var = ctx.fresh("vs")
+    ctx.push()
+    nxt = chunk_exprs(idx_mul(idx_add(Var(strip_var), IConst(1)), IConst(width)))
+    for name, value in zip(reg_b, nxt):
+        ctx.emit(Assign(name, value))
+    window = ArrV(
+        nat(m),
+        lambda r: _shape_of_type(
+            elem_type, [VShuffle(Var(a), Var(b), _window_offset(r), width) for a, b in zip(reg_a, reg_b)]
+        ),
+    )
+    result = _apply_fn_view(fn_node, window, env, ctx)
+    base = idx_mul(Var(strip_var), IConst(width))
+    for s in _vector_stores(dest.at(Var(xi)), _leaf_exprs(result), xi, base, width):
+        ctx.emit(s)
+    for a, b in zip(reg_a, reg_b):
+        ctx.emit(Assign(a, Var(b)))
+    body = ctx.pop()
+    ctx.emit(For(strip_var, nat_expr(dest.size // nat(width)), body, LoopKind.VEC))
+    _scalar_tail(fn_node, windows, dest, width, env, ctx)
 
 
 def _apply_fn_view(fn_node: E.Expr, arg: View, env, ctx: Ctx) -> View:
@@ -1339,10 +1303,6 @@ def compile_program(
     ``codegen.vectorize``), ``codegen.fold`` and ``codegen.cse`` below
     it — node counts are computed only while an observer is active.
     """
-    from repro.observe.core import active, span
-    from repro.rise.traverse import count_nodes as count_rise_nodes
-    from repro.codegen.ir import count_ir_nodes
-
     with span("codegen.lower", program=name) as lower_span:
         observed = active() is not None
         if observed:
@@ -1373,9 +1333,11 @@ def compile_program(
             out_type = typing.root_type
             if not isinstance(out_type, DataType):
                 raise CodegenError(f"program result must be data, got {out_type!r}")
-            out_paths = scalar_leaf_paths(out_type)
-            if out_paths != [()]:
-                raise CodegenError("pair-typed outputs are not supported at top level")
+            leaf = out_type
+            while isinstance(leaf, ArrayType):
+                leaf = leaf.elem
+            if not isinstance(leaf, ScalarType):  # pairs and vectors print no C
+                raise CodegenError(f"the result must be scalars, got {out_type!r}")
             out_buffer = Buffer("out", _total_leaf_size(out_type, ()))
             out_dest = dest_for_buffer(out_type, {(): "out"}, {(): IConst(0)})
 
@@ -1395,13 +1357,12 @@ def compile_program(
                 temporaries=list(ctx.all_buffers),
             )
             program_out = ImpProgram(
-                name=name, functions=[function], size_vars=sorted(size_vars)
+                name=name,
+                functions=[function],
+                size_vars=sorted(size_vars),
+                size_constraints=typing.pending_sizes,
             )
-            program_out.vector_fallbacks = ctx.vector_fallbacks  # type: ignore[attr-defined]
-            program_out.size_constraints = typing.pending_sizes  # type: ignore[attr-defined]
             if observed:
                 emit_span.meta["ir_nodes"] = count_ir_nodes(program_out)
-
-        from repro.codegen.opt import cse_program, fold_program
 
         return cse_program(fold_program(program_out))

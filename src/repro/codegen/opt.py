@@ -14,6 +14,8 @@ Rules (applied bottom-up until fixpoint):
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.codegen.ir import (
     AllocStmt,
     Assign,
@@ -27,7 +29,6 @@ from repro.codegen.ir import (
     For,
     IConst,
     IExpr,
-    ImpFunction,
     ImpProgram,
     Load,
     NatE,
@@ -40,7 +41,9 @@ from repro.codegen.ir import (
     VShuffle,
     VStore,
     Var,
+    count_ir_nodes,
 )
+from repro.observe.core import active, span
 
 __all__ = ["fold_program", "fold_expr", "cse_program"]
 
@@ -135,29 +138,8 @@ def _fold_stmt(s: Stmt) -> Stmt:
 
 def fold_program(prog: ImpProgram) -> ImpProgram:
     """Return a copy of the program with constant-folded expressions."""
-    from repro.observe.core import active, span
-    from repro.codegen.ir import count_ir_nodes
-
     with span("codegen.fold") as fold_span:
-        functions = [
-            ImpFunction(
-                name=fn.name,
-                inputs=fn.inputs,
-                output=fn.output,
-                size_vars=fn.size_vars,
-                body=_fold_stmt(fn.body),
-                temporaries=fn.temporaries,
-            )
-            for fn in prog.functions
-        ]
-        out = ImpProgram(
-            name=prog.name,
-            functions=functions,
-            size_vars=prog.size_vars,
-            launch_overheads=prog.launch_overheads,
-        )
-        out.vector_fallbacks = getattr(prog, "vector_fallbacks", [])
-        out.size_constraints = getattr(prog, "size_constraints", [])
+        out = replace(prog, functions=[replace(fn, body=_fold_stmt(fn.body)) for fn in prog.functions])
         if active() is not None:
             fold_span.meta["nodes_in"] = count_ir_nodes(prog)
             fold_span.meta["nodes_out"] = count_ir_nodes(out)
@@ -371,30 +353,9 @@ def _rebuild_expr(e: IExpr, kids: list[IExpr]) -> IExpr:
 
 def cse_program(prog: ImpProgram) -> ImpProgram:
     """Apply block-level CSE to every kernel."""
-    from repro.observe.core import active, span
-    from repro.codegen.ir import count_ir_nodes
-
     with span("codegen.cse") as cse_span:
         state = _CseState()
-        functions = [
-            ImpFunction(
-                name=fn.name,
-                inputs=fn.inputs,
-                output=fn.output,
-                size_vars=fn.size_vars,
-                body=_cse_stmt(fn.body, state),
-                temporaries=fn.temporaries,
-            )
-            for fn in prog.functions
-        ]
-        out = ImpProgram(
-            name=prog.name,
-            functions=functions,
-            size_vars=prog.size_vars,
-            launch_overheads=prog.launch_overheads,
-        )
-        out.vector_fallbacks = getattr(prog, "vector_fallbacks", [])
-        out.size_constraints = getattr(prog, "size_constraints", [])
+        out = replace(prog, functions=[replace(fn, body=_cse_stmt(fn.body, state)) for fn in prog.functions])
         if active() is not None:
             cse_span.meta["nodes_in"] = count_ir_nodes(prog)
             cse_span.meta["nodes_out"] = count_ir_nodes(out)

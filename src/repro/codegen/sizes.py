@@ -1,26 +1,42 @@
-"""Numeric resolution of leftover size constraints.
+"""Concrete sizes: picking them, and resolving leftover size constraints.
 
-Non-strict type inference leaves equations such as ``32 * k == n`` (chunk
-divisibility) undecided; once concrete image sizes are known they are
-solved here, producing bindings for every size variable a compiled
-program's loop extents and buffer sizes mention.
+:func:`smallest_sizes` picks the smallest output sizes a schedule's
+divisibility allows.  Non-strict type inference leaves equations such as
+``32 * k == n`` (chunk divisibility) undecided; once concrete image sizes
+are known :func:`resolve_sizes` solves them, producing bindings for every
+size variable a compiled program's loop extents and buffer sizes mention.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Mapping
 
-from repro.nat import Nat, nat
+from repro.nat import nat
 from repro.codegen.ir import ImpProgram
 
-__all__ = ["resolve_sizes"]
+__all__ = ["smallest_sizes", "resolve_sizes"]
+
+
+def smallest_sizes(n_multiple: int = 1, m_multiple: int = 1, floor: int = 8) -> dict[str, int]:
+    """The smallest output sizes >= ``floor`` with ``n_multiple | n`` and
+    ``m_multiple | m`` — two multiples of ``n`` at least when one is a
+    split, so the chunk *boundary* (where recomputation bugs live) is
+    inside the image."""
+    n_mult = max(1, int(n_multiple))
+    m_mult = max(1, int(m_multiple))
+    n = n_mult * max(1, math.ceil(floor / n_mult))
+    if n == n_mult and n_mult > 1:
+        n = 2 * n_mult
+    m = m_mult * max(1, math.ceil(floor / m_mult))
+    return {"n": n, "m": m}
 
 
 def resolve_sizes(prog: ImpProgram, sizes: Mapping[str, int]) -> dict[str, int]:
     """Extend ``sizes`` with values for inference variables by solving the
     program's recorded size constraints numerically."""
     env: dict[str, int] = dict(sizes)
-    constraints: list[tuple[Nat, Nat]] = list(getattr(prog, "size_constraints", []))
+    constraints = list(prog.size_constraints)
     progress = True
     while progress and constraints:
         progress = False

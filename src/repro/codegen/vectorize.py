@@ -36,13 +36,14 @@ from repro.codegen.ir import (
     VLoad,
     Var,
 )
-from repro.codegen.views import idx_add, idx_sub
+from repro.codegen.views import CodegenError, idx_add, idx_sub
 
 __all__ = ["VectorizeError", "vectorize_stmts", "affine_coefficient"]
 
 
-class VectorizeError(Exception):
-    """The expression cannot be turned into vector code."""
+class VectorizeError(CodegenError):
+    """The expression cannot be turned into vector code (a lowering
+    refusal like any other :class:`CodegenError`)."""
 
 
 def affine_coefficient(expr: IExpr, var: str) -> tuple[int, IExpr] | None:

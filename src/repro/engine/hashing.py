@@ -41,7 +41,9 @@ __all__ = [
 #: or a key stops naming what it used to build; part of every cache key
 #: so stale on-disk artifacts are never reused.  v2: a schedule whose
 #: optimization does not fire fails instead of building a no-op kernel.
-ENGINE_VERSION = "repro.engine/v2"
+#: v3: lowering picks rotation by type (no dead probe code), and the
+#: program fingerprint is ``repr`` alone (``size_constraints`` is a field).
+ENGINE_VERSION = "repro.engine/v3"
 
 
 def _hasher() -> "hashlib.blake2b":
@@ -126,8 +128,6 @@ def program_fingerprint(prog) -> str:
     """
     h = _hasher()
     h.update(repr(prog).encode())
-    for attr in ("size_constraints", "vector_fallbacks"):
-        h.update(f"|{attr}={getattr(prog, attr, ())!r}".encode())
     return h.hexdigest()
 
 

@@ -429,6 +429,4 @@ def _lower_halide(
         temporaries=gen.buffers,
     )
     prog = ImpProgram(name=name, functions=[fn], size_vars=sorted((n * m).free_vars()))
-    prog.size_constraints = []
-    prog.vector_fallbacks = []
     return prog

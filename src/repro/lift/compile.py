@@ -69,8 +69,6 @@ def compile_pipeline_per_operator(
         ),
         launch_overheads=len(functions),
     )
-    out.size_constraints = []
-    out.vector_fallbacks = []
     return out
 
 

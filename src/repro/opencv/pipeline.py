@@ -351,8 +351,6 @@ def build_harris_opencv_program(chunk: int = 32, vec: int = 4) -> ImpProgram:
         size_vars=["m", "n"],
         launch_overheads=len(functions),
     )
-    prog.size_constraints = []
-    prog.vector_fallbacks = []
     from repro.observe.core import span
 
     with span("codegen.lower", program=prog.name):

@@ -30,12 +30,12 @@ the benchmark, serving and AOT prebuilds all address kernels this way.
 from __future__ import annotations
 
 import importlib
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
+from repro.codegen.sizes import smallest_sizes
 from repro.nat import nat
 from repro.rise.expr import Expr, Identifier
 from repro.rise.types import ArrayType, DataType
@@ -156,13 +156,7 @@ class PipelineSpec:
         """Smallest output sizes >= ``floor`` legal under a schedule's
         divisibility: ``chunk * strip | n`` (two chunks minimum, so the
         chunk boundary is inside the image) and ``vec | m``."""
-        n_mult = max(1, int(chunk or 1) * int(strip or 1))
-        m_mult = max(1, int(vec or 1))
-        n = n_mult * max(1, math.ceil(self.floor / n_mult))
-        if n == n_mult and n_mult > 1:
-            n = 2 * n_mult
-        m = m_mult * max(1, math.ceil(self.floor / m_mult))
-        return {"n": n, "m": m}
+        return smallest_sizes(int(chunk or 1) * int(strip or 1), vec or 1, self.floor)
 
     def input_shape(self, sizes: Mapping[str, int]) -> tuple[int, ...]:
         """The concrete input shape under ``sizes``."""

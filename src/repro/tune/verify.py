@@ -21,32 +21,17 @@ chunk/strip boundary is exercised at least once.
 
 from __future__ import annotations
 
-import math
 from typing import Mapping
 
 import numpy as np
 
+from repro.codegen.sizes import smallest_sizes as verification_sizes
 from repro.engine.pipeline import Engine
 from repro.rise.types import ArrayType, Type
 from repro.strategies.schedules import Schedule, naive_version
 from repro.verify.oracle import equivalence_report
 
 __all__ = ["verification_sizes", "make_inputs", "verify_schedule"]
-
-
-def verification_sizes(
-    n_multiple: int = 1, m_multiple: int = 1, floor: int = 8
-) -> dict[str, int]:
-    """The smallest output sizes >= ``floor`` satisfying both divisibility
-    constraints — two chunk rows when a split is present, so the chunk
-    *boundary* (where recomputation bugs live) is inside the image."""
-    n_mult = max(1, int(n_multiple))
-    m_mult = max(1, int(m_multiple))
-    n = n_mult * max(1, math.ceil(floor / n_mult))
-    if n == n_mult and n_mult > 1:
-        n = 2 * n_mult  # at least two chunks, so borders are exercised
-    m = m_mult * max(1, math.ceil(floor / m_mult))
-    return {"n": n, "m": m}
 
 
 def make_inputs(

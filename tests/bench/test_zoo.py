@@ -105,7 +105,7 @@ class TestGrid:
         """A fresh grid rewrites each (pipeline, schedule) pair once: the
         30 family pairs, the 6 that do not apply included; the Harris
         baselines are not schedules."""
-        _, cells, applied = fresh_zoo_grid
+        _, cells, applied, _ = fresh_zoo_grid
         assert len(applied) == len(registry.names()) * len(registry.SCHEDULE_NAMES) == 30
         assert len(cells) == 24 + 3
 

@@ -24,6 +24,7 @@ from repro.rise.dsl import (
     map_global,
     map_seq,
     map_seq_unroll,
+    map_vec,
     make_pair,
     pipe,
     reduce_seq,
@@ -173,6 +174,12 @@ class TestVectors:
         out = compile_run(prog, {"xs": array(8, f32)}, {}, {"xs": np.arange(8.0)})
         np.testing.assert_allclose(out, np.arange(8.0))
 
+    def test_lane_constant_map_vec_is_broadcast(self):
+        """A mapVec body that ignores its lane still yields a vector."""
+        prog = as_scalar(map_(fun(lambda v: map_vec(fun(lambda x: lit(0.5)), v)), as_vector(2, xs)))
+        out = compile_run(prog, {"xs": array(6, f32)}, {}, {"xs": np.arange(6.0)})
+        np.testing.assert_allclose(out, np.full(6, 0.5))
+
 
 class TestErrors:
     def test_unbound_identifier(self):
@@ -185,3 +192,8 @@ class TestErrors:
         prog = make_pair(lit(1.0), lit(2.0))
         with pytest.raises(CodegenError):
             compile_program(prog, {}, "k")
+
+    def test_vector_output_rejected(self):
+        """C has no vector-typed output buffer; the result must be scalars."""
+        with pytest.raises(CodegenError, match="must be scalars"):
+            compile_program(as_vector(2, xs), {"xs": array(6, f32)}, "k")

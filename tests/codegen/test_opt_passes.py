@@ -77,10 +77,7 @@ class TestFoldExpr:
 
 def _program(stmts):
     fn = ImpFunction("k", [Buffer("inp", nat(16), 8)], Buffer("out", nat(16), 8), [], Block(stmts))
-    p = ImpProgram("k", [fn], [])
-    p.size_constraints = []
-    p.vector_fallbacks = []
-    return p
+    return ImpProgram("k", [fn], [])
 
 
 class TestCseProgram:

@@ -72,12 +72,15 @@ def fresh_engine():
 def fresh_zoo_grid():
     """The default zoo grid on one machine, compiled once on a fresh
     private engine with every ``Schedule.apply`` call recorded:
-    ``(engine, cells, applied schedule names)``.  The engine then holds
-    each applicable default zoo kernel on the Python backend."""
+    ``(engine, cells, applied schedule names, fallbacks)``, where
+    ``fallbacks`` counts each lowering fallback the grid took (see
+    :func:`tests.support.fallback_counts`).  The engine then holds each
+    applicable default zoo kernel on the Python backend."""
     from repro.bench.zoo import zoo_grid
     from repro.engine.pipeline import Engine
     from repro.perf.machines import ALL_MACHINES
     from repro.strategies.schedules import Schedule
+    from tests.support import fallback_counts
 
     applied = []
     apply = Schedule.apply
@@ -87,7 +90,9 @@ def fresh_zoo_grid():
         return apply(self, program)
 
     engine = Engine(cache_dir=None)
+    before = fallback_counts()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Schedule, "apply", recorded)
         cells = zoo_grid(machines=ALL_MACHINES[:1], engine=engine)
-    return engine, cells, applied
+    fallbacks = {k: v - before[k] for k, v in fallback_counts().items()}
+    return engine, cells, applied, fallbacks

@@ -42,9 +42,7 @@ def _program(body_stmts, name="k", inputs=("inp",), out_size=1 << 16):
         [],
         Block(body_stmts),
     )
-    p = ImpProgram(name, [fn], [])
-    p.size_constraints = []
-    return p
+    return ImpProgram(name, [fn], [])
 
 
 def _scalar_loop(n, parallel=False):

@@ -26,6 +26,7 @@ __all__ = [
     "assert_values_close",
     "apply_ok",
     "assert_semantics_preserved",
+    "fallback_counts",
 ]
 
 
@@ -64,3 +65,14 @@ def assert_semantics_preserved(
     after_value = evaluate(rewritten, value_env)
     assert_values_close(before_value, after_value, rtol=rtol)
     return rewritten
+
+
+def fallback_counts() -> dict[str, float]:
+    """The process-wide ``codegen.fallback.*`` counters: how often
+    lowering chose a sliding window over rotating registers
+    (``rotate_window``) and a scalar loop over vector strips
+    (``scalar_loop``).  Subtract two readings to count one compile."""
+    from repro.observe.metrics import registry
+
+    names = ("codegen.fallback.rotate_window", "codegen.fallback.scalar_loop")
+    return {name: registry().counter(name).value for name in names}
